@@ -59,7 +59,9 @@ class AttackSignal:
 class MeasurementFrame:
     """What the control layer sees: per-area frequency and net tie flow.
 
-    Under no attack this is exactly the true plant state projection.
+    Under no attack this is exactly the true plant state projection.  A
+    stacked frame holds one row per time: freq and net_tie are (K, N) and
+    t is the (K,) array of times.
     """
 
     freq: np.ndarray
@@ -77,15 +79,18 @@ def measure(model, state, t):
 
 
 def signal_value(attack, t):
-    """Additive offset contributed by one attack at time t (causal)."""
+    """Additive offset contributed by one attack at time t (causal).
+
+    t may be a scalar or an array of times; the result has its shape.
+    """
     dt = t - attack.start_time
-    if dt < 0:
-        return 0.0
     if attack.kind == "step":
-        return attack.magnitude
-    if attack.kind == "pulse":
-        return attack.magnitude if dt < attack.duration else 0.0
-    return attack.magnitude * dt  # ramp
+        value = attack.magnitude
+    elif attack.kind == "pulse":
+        value = np.where(dt < attack.duration, attack.magnitude, 0.0)
+    else:  # ramp
+        value = attack.magnitude * dt
+    return np.where(dt < 0, 0.0, value)
 
 
 def _check_area(attack, n_areas):
@@ -95,15 +100,18 @@ def _check_area(attack, n_areas):
 
 
 def corrupt_measurements(frame, attacks, t):
-    """Apply all sensor attacks to a measurement frame; additive, summing."""
+    """Apply all sensor attacks to a measurement frame; additive, summing.
+
+    Works on a single frame or on a stacked one, with t its times.
+    """
     out = frame.copy()
-    n = len(out.freq)
+    n = out.freq.shape[-1]
     for atk in attacks:
         _check_area(atk, n)
         if atk.target.channel == "frequency_sensor":
-            out.freq[atk.target.area] += signal_value(atk, t)
+            out.freq[..., atk.target.area] += signal_value(atk, t)
         elif atk.target.channel == "tieline_sensor":
-            out.net_tie[atk.target.area] += signal_value(atk, t)
+            out.net_tie[..., atk.target.area] += signal_value(atk, t)
         # control_signal attacks do not touch measurements
     return out
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConvergenceError, NumericError, StructuralError, TuningError
+from .errors import (ConvergenceError, InstabilityError, NumericError,
+                     StructuralError, TuningError)
 
 
 class ZeroController:
@@ -331,7 +332,7 @@ def tune_pid(scenario, kp_grid=None, ki_grid=None):
             ctrl = PidController(model.beta, gains, tuning.control_period)
             try:
                 traj = run_episode(tuning, ctrl, model=model)
-            except Exception:
+            except (InstabilityError, NumericError):
                 continue  # unstable candidate
             cost = compute_metrics(traj, model).ise
             if not np.isfinite(cost):

@@ -16,6 +16,7 @@ from .attacks import (AttackSignal, InjectionPoint, corrupt_control,
                       corrupt_measurements, measure)
 from .errors import InstabilityError, NumericError, StructuralError
 from .harness import DIVERGENCE_LIMIT, control_reward, step_penalty
+from .scenario import LoadEvent, load_profile
 
 CHECKPOINT_MAGIC = "agcsim-qnet"
 CHECKPOINT_VERSION = 1
@@ -353,7 +354,6 @@ TRAIN_EVENT_START = (1.0, 10.0)      # s
 
 def _draw_episode_events(scenario, rng):
     """Random load step plus, with probability 1/2, one random attack."""
-    from .scenario import LoadEvent
     n = len(scenario.areas)
     loads = [LoadEvent(
         area=int(rng.integers(n)),
@@ -379,16 +379,6 @@ def _draw_episode_events(scenario, rng):
     return loads, attacks
 
 
-def _load_vector(loads, t, n):
-    out = np.zeros(n)
-    for ev in loads:
-        dt = t - ev.start
-        if dt >= 0:
-            out[ev.area] += ev.magnitude if ev.kind == "step" \
-                else ev.magnitude * dt
-    return out
-
-
 def train(scenario, hyper=None, episodes=300, seed=0):
     """Train a DQN against the scenario's grid with randomized episodes.
 
@@ -412,12 +402,16 @@ def train(scenario, hyper=None, episodes=300, seed=0):
     n_ctrl = scenario.n_control_steps
     dt = scenario.control_period
     total_steps = episodes * n_ctrl
+    # Plant-step times, (n_ctrl, ratio), as step * dt + sub * h: the loads,
+    # and so the trained network, depend on these exact bits.
+    t_sub = (np.arange(n_ctrl) * dt)[:, None] + np.arange(ratio) * h
 
     log = []
     global_step = 0
     updates = 0
     for episode in range(episodes):
         loads, attacks = _draw_episode_events(scenario, rng)
+        load_grid = load_profile(loads, n, t_sub)
         state = model.zero_state()
         frame = corrupt_measurements(measure(model, state, 0.0), attacks, 0.0)
         obs = observation(frame, hyper.obs_scale)
@@ -431,8 +425,7 @@ def train(scenario, hyper=None, episodes=300, seed=0):
             applied = corrupt_control(table.commands(action), attacks, t)
             prev_penalty = step_penalty(model, state)
             for sub in range(ratio):
-                t_sub = t + sub * h
-                inputs = model.inputs(applied, _load_vector(loads, t_sub, n))
+                inputs = model.inputs(applied, load_grid[step, sub])
                 state = model.rk4_step(state, inputs, h)
             if np.max(np.abs(state)) > DIVERGENCE_LIMIT:
                 raise InstabilityError(

@@ -263,6 +263,47 @@ class LfcModel:
             L[i, i] = 1.0 / area.inertia
         return L
 
+    def period_map(self, h, steps):
+        """Exact lifted map of `steps` RK4 steps of size h (one control period).
+
+        The plant is linear and its inputs are held over each step, so one
+        RK4 step is exactly x+ = M x + N g with g = B p_c - L p_load,
+        M = sum_{j<=4} (hA)^j / j! and N = h sum_{j<=3} (hA)^j / (j+1)!.
+        Stacking `steps` of them gives
+
+            X = G @ concat(x_k, p_c, p_load_k, ..., p_load_{k+steps-1})
+
+        where X, reshaped to (steps, dim), holds x_{k+1} .. x_{k+steps}, the
+        command p_c (already saturated) is held for the whole period and each
+        step keeps its own load.  G has shape
+        (steps*dim, dim + n + steps*n).
+        """
+        if h <= 0:
+            raise StructuralError("step size must be positive")
+        A, B = self.assemble_linear_model()
+        dim, n = self.dim, self.n_areas
+        eye = np.eye(dim)
+        hA = h * A
+        N = h * (eye + hA / 2.0 @ (eye + hA / 3.0 @ (eye + hA / 4.0)))
+        M = eye + A @ N
+        NB = N @ B
+        NL = -N @ self.load_gain()
+
+        powers = [eye]                    # M^0 .. M^steps
+        for _ in range(steps):
+            powers.append(M @ powers[-1])
+        load_terms = [P @ NL for P in powers[:steps]]
+        G = np.zeros((steps, dim, dim + n + steps * n))
+        drive = np.zeros((dim, n))        # sum_{i<j} M^i N B
+        for j in range(1, steps + 1):
+            G[j - 1, :, :dim] = powers[j]
+            drive = drive + powers[j - 1] @ NB
+            G[j - 1, :, dim:dim + n] = drive
+            for i in range(j):
+                col = dim + n + i * n
+                G[j - 1, :, col:col + n] = load_terms[j - 1 - i]
+        return G.reshape(steps * dim, -1)
+
     def inputs(self, p_c, p_load):
         """Build PlantInputs with this plant's saturation limit applied."""
         return PlantInputs(np.asarray(p_c, dtype=float),

@@ -10,7 +10,9 @@ def build_controller(scenario, spec=None, model=None):
     """Instantiate the controller a scenario (or override spec) asks for.
 
     spec may be a dict like scenario.controller or a compact string:
-    "pid", "lqr", "mpc", "zero", or "dqn:<checkpoint path>".
+    "pid", "lqr", "mpc", "zero", or "dqn:<checkpoint path>".  The bare
+    "pid" takes its gains from the scenario's own [controller] block when
+    that block is a PID one; otherwise every gain is zero.
     """
     if model is None:
         model = scenario.build_model()
@@ -19,6 +21,8 @@ def build_controller(scenario, spec=None, model=None):
     if isinstance(spec, str):
         if spec.startswith("dqn:"):
             spec = {"type": "dqn", "checkpoint": spec[4:]}
+        elif spec == "pid" and scenario.controller.get("type") == "pid":
+            spec = scenario.controller
         else:
             spec = {"type": spec}
     ctype = spec.get("type")

@@ -3,26 +3,34 @@
 One episode: every control period the controller sees a (possibly attacked)
 measurement frame and issues per-area commands; the commands pass through
 the control-channel attack layer, are held for the whole period, and the
-plant integrates the TRUE state with RK4 at the plant step.  Rewards are
-recorded once per control step from the end-of-step true state.
+plant integrates the TRUE state with RK4 at the plant step, one whole period
+per matrix product.  Rewards are recorded once per control step from the
+end-of-step true state.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import corrupt_control, corrupt_measurements, measure
-from .errors import InstabilityError, StructuralError
+from .attacks import (MeasurementFrame, corrupt_control,
+                      corrupt_measurements, measure)
+from .errors import InstabilityError, NumericError, StructuralError
 
 # States beyond this deviation are far outside linear-model validity.
 DIVERGENCE_LIMIT = 10.0
 
 
+def penalties(model, states):
+    """Per row of a (..., dim) state stack: sum over areas of
+    (beta_i*df_i)^2 + (net tie flow_i)^2."""
+    df = model.freq(states)
+    tie = model.net_tie(states)
+    return np.sum((model.beta * df) ** 2 + tie ** 2, axis=-1)
+
+
 def step_penalty(model, state):
     """Sum over areas of (beta_i*df_i)^2 + (net tie flow_i)^2."""
-    df = model.freq(state)
-    tie = model.net_tie(state)
-    return float(np.sum((model.beta * df) ** 2 + tie ** 2))
+    return float(penalties(model, state))
 
 
 def control_reward(model, state, dt):
@@ -49,60 +57,87 @@ class Trajectory:
 
 
 def run_episode(scenario, controller, model=None):
-    """Run one closed-loop episode; deterministic given the scenario."""
+    """Run one closed-loop episode; deterministic given the scenario.
+
+    Each control period the controller sees one measurement frame and the
+    plant advances the whole period at once through model.period_map, the
+    exact map of the period's RK4 steps.
+    """
     if model is None:
         model = scenario.build_model()
     n = model.n_areas
+    dim = model.dim
     h = scenario.plant_step
     ratio = scenario.steps_per_control
     n_ctrl = scenario.n_control_steps
     k_total = n_ctrl * ratio
 
     controller.reset()
-    state = model.zero_state()
     attacks = scenario.attacks
+    lift = model.period_map(h, ratio)
 
     t_grid = np.arange(k_total + 1) * h
-    states = np.empty((k_total + 1, model.dim))
-    meas_freq = np.empty((k_total + 1, n))
-    meas_tie = np.empty((k_total + 1, n))
+    loads = scenario.load_vector(t_grid[:-1]).reshape(n_ctrl, ratio * n)
+    states = np.empty((k_total + 1, dim))
+    states[0] = model.zero_state()
+    seen_freq = np.empty((n_ctrl, n))
+    seen_tie = np.empty((n_ctrl, n))
     u_cmd = np.empty((k_total + 1, n))
     u_applied = np.empty((k_total + 1, n))
-    rewards = np.empty(n_ctrl)
 
-    cmd = np.zeros(n)
-    applied = np.zeros(n)
-    for k in range(k_total + 1):
+    for m in range(n_ctrl):
+        k = m * ratio
         t = t_grid[k]
-        frame = corrupt_measurements(measure(model, state, t), attacks, t)
-        if k % ratio == 0 and k < k_total:
-            cmd = np.asarray(controller.observe(frame), dtype=float)
-            if cmd.shape != (n,):
-                raise StructuralError(
-                    f"controller returned shape {cmd.shape}, expected ({n},)")
-            if not np.all(np.isfinite(cmd)):
-                raise InstabilityError(f"non-finite command at t={t:.3f}s", t=t)
-            applied = corrupt_control(cmd, attacks, t)
-        states[k] = state
-        meas_freq[k] = frame.freq
-        meas_tie[k] = frame.net_tie
-        u_cmd[k] = cmd
-        u_applied[k] = applied
+        frame = corrupt_measurements(measure(model, states[k], t), attacks, t)
+        seen_freq[m] = frame.freq
+        seen_tie[m] = frame.net_tie
+        cmd = np.asarray(controller.observe(frame), dtype=float)
+        if cmd.shape != (n,):
+            raise StructuralError(
+                f"controller returned shape {cmd.shape}, expected ({n},)")
+        if not np.isfinite(cmd).all():
+            raise InstabilityError(f"non-finite command at t={t:.3f}s", t=t)
+        applied = corrupt_control(cmd, attacks, t)
+        u_cmd[k:k + ratio] = cmd
+        u_applied[k:k + ratio] = applied
 
-        if k == k_total:
-            break
-        inputs = model.inputs(applied, scenario.load_vector(t))
-        state = model.rk4_step(state, inputs, h)
-        if np.max(np.abs(state)) > DIVERGENCE_LIMIT:
-            raise InstabilityError(
-                f"state exceeded {DIVERGENCE_LIMIT} p.u. at t={t + h:.3f}s",
-                t=t + h)
-        if (k + 1) % ratio == 0:
-            rewards[(k + 1) // ratio - 1] = control_reward(
-                model, state, scenario.control_period)
+        held = np.clip(applied, -model.p_c_max, model.p_c_max)
+        block = (lift @ np.concatenate([states[k], held, loads[m]])).reshape(
+            ratio, dim)
+        if not np.abs(block).max() <= DIVERGENCE_LIMIT:
+            _raise_divergence(block, t_grid, k, h)
+        states[k + 1:k + ratio + 1] = block
+    u_cmd[k_total] = cmd
+    u_applied[k_total] = applied
 
+    # What the sensors reported at every plant step, through the same attack
+    # arithmetic the controller's frames went through.  On grids of four or
+    # more areas the stacked net tie flow can differ from a single frame's in
+    # the last bit (summation order), so the rows the controller saw are
+    # written back exactly.
+    reported = corrupt_measurements(
+        MeasurementFrame(model.freq(states), model.net_tie(states), t_grid),
+        attacks, t_grid)
+    meas_freq, meas_tie = reported.freq, reported.net_tie
+    meas_freq[:k_total:ratio] = seen_freq
+    meas_tie[:k_total:ratio] = seen_tie
+
+    # control_reward of each period's end state, computed for all periods at
+    # once (with the same last-bit caveat as above on four or more areas).
+    rewards = -scenario.control_period * penalties(model, states[ratio::ratio])
     return Trajectory(t_grid, states, meas_freq, meas_tie, u_cmd, u_applied,
                       rewards, h, scenario.control_period)
+
+
+def _raise_divergence(block, t_grid, k, h):
+    """Report the first plant step of a period block that left the limit."""
+    peak = np.max(np.abs(block), axis=1)
+    j = int(np.argmax(~(peak <= DIVERGENCE_LIMIT)))
+    if not np.isfinite(peak[j]):
+        raise NumericError(f"non-finite state after RK4 step of h={h}")
+    t = t_grid[k + j] + h
+    raise InstabilityError(
+        f"state exceeded {DIVERGENCE_LIMIT} p.u. at t={t:.3f}s", t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +174,6 @@ def compute_metrics(traj, model, band=1e-3):
     if len(traj) == 0:
         raise StructuralError("empty trajectory")
     df = model.freq(traj.states)
-    tie = model.net_tie(traj.states)
     n = df.shape[1]
     max_dev = np.max(np.abs(df), axis=0)
 
@@ -155,7 +189,7 @@ def compute_metrics(traj, model, band=1e-3):
             settling[i] = traj.t[k]
             settled[i] = True
 
-    integrand = np.sum((model.beta * df) ** 2 + tie ** 2, axis=1)
+    integrand = penalties(model, traj.states)
     ise = float(np.trapezoid(integrand, traj.t))
     tail = max(1, int(round(0.2 * len(traj))))
     return Metrics(

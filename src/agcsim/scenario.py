@@ -3,7 +3,7 @@
 Format (key = value lines, # comments, [section] blocks), version 1:
 
     format_version = 1
-    horizon = 60.0          # seconds
+    horizon = 60.0          # seconds, integer multiple of control_period
     plant_step = 0.01       # RK4 step h, seconds
     control_period = 0.1    # controller rate, integer multiple of plant_step
     seed = 0
@@ -83,6 +83,24 @@ class LoadEvent:
     start: float
 
 
+def load_profile(events, n_areas, t):
+    """Total load disturbance per area at time t (events sum).
+
+    t may be a scalar, giving shape (n_areas,), or an array of times, giving
+    t.shape + (n_areas,).  Each event adds its step magnitude, or its ramp
+    slope times the time since its start, from its start on.  Before its
+    start it adds 0.0, which leaves every sum unchanged, so each entry holds
+    the bits a scalar loop over the active events would give.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (n_areas,))
+    for ev in events:
+        dt = t - ev.start
+        value = ev.magnitude if ev.kind == "step" else ev.magnitude * dt
+        out[..., ev.area] += np.where(dt < 0, 0.0, value)
+    return out
+
+
 @dataclass
 class Scenario:
     """Full experiment description driving one closed-loop episode."""
@@ -106,20 +124,28 @@ class Scenario:
         self._validate()
 
     def _validate(self):
-        if self.horizon <= 0:
-            raise ScenarioError("horizon must be positive")
+        for name in ("horizon", "plant_step", "control_period",
+                     "command_limit"):
+            if not np.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite")
         if self.plant_step <= 0:
             raise ScenarioError("plant_step must be positive")
-        ratio = self.control_period / self.plant_step
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if self.command_limit <= 0:
+            raise ScenarioError("command_limit must be positive")
+        if not _is_multiple(self.control_period, self.plant_step):
             raise ScenarioError(
                 "control_period must be a positive integer multiple of plant_step")
+        if not _is_multiple(self.horizon, self.control_period):
+            raise ScenarioError(
+                "horizon must be a positive integer multiple of control_period")
         n = len(self.areas)
         for ev in self.loads:
             if not 0 <= ev.area < n:
                 raise ScenarioError(f"load event targets missing area {ev.area + 1}")
             if ev.kind not in ("step", "ramp"):
                 raise ScenarioError(f"unknown load kind {ev.kind!r}")
+            if not (np.isfinite(ev.magnitude) and np.isfinite(ev.start)):
+                raise ScenarioError("load magnitude and start must be finite")
         for atk in self.attacks:
             if atk.target.area >= n:
                 raise ScenarioError(
@@ -141,14 +167,14 @@ class Scenario:
         return LfcModel(self.areas, topo, p_c_max=self.command_limit)
 
     def load_vector(self, t):
-        """Total load disturbance per area at time t (events sum)."""
-        out = np.zeros(len(self.areas))
-        for ev in self.loads:
-            dt = t - ev.start
-            if dt < 0:
-                continue
-            out[ev.area] += ev.magnitude if ev.kind == "step" else ev.magnitude * dt
-        return out
+        """Total load disturbance per area at time(s) t; see load_profile."""
+        return load_profile(self.loads, len(self.areas), t)
+
+
+def _is_multiple(value, unit):
+    """value / unit is a positive integer up to a 1e-9 tolerance."""
+    ratio = value / unit
+    return abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +190,7 @@ def _parse_number(raw, key, line):
 
 def _parse_int(raw, key, line):
     val = _parse_number(raw, key, line)
-    if val != int(val):
+    if not np.isfinite(val) or val != int(val):
         raise ScenarioError(f"value for {key!r} must be an integer", line)
     return int(val)
 

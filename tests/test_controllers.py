@@ -10,7 +10,7 @@ from agcsim.controllers import (LqrController, MpcController, PidController,
                                 dare_residual, default_weights, mpc_step,
                                 solve_dare, tune_pid, zoh_discretize)
 from agcsim.dynamics import two_area_benchmark
-from agcsim.errors import StructuralError
+from agcsim.errors import InstabilityError, StructuralError
 from agcsim.harness import run_episode
 from agcsim.scenario import LoadEvent, Scenario
 
@@ -213,3 +213,23 @@ class TestTunePid:
         g1 = tune_pid(sc, kp_grid=coarse, ki_grid=coarse)
         g2 = tune_pid(sc, kp_grid=dense, ki_grid=dense)
         assert achieved_cost(g2) <= achieved_cost(g1) + 1e-15
+
+    def test_unstable_candidate_skipped(self):
+        sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 5.0)], horizon=30.0,
+                      command_limit=50.0)
+        m = sc.build_model()
+        wild = PidGains(kp=1e4, ki=0.3)
+        with pytest.raises(InstabilityError):
+            run_episode(sc, PidController(m.beta, wild, sc.control_period),
+                        model=m)
+        g = tune_pid(sc, kp_grid=[0.3, 1e4], ki_grid=[0.3])
+        assert (g.kp, g.ki) == (0.3, 0.3)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(self, frame):
+            raise ValueError("bug in the controller")
+
+        monkeypatch.setattr(PidController, "observe", broken)
+        sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 5.0)], horizon=5.0)
+        with pytest.raises(ValueError, match="bug in the controller"):
+            tune_pid(sc, kp_grid=[0.3], ki_grid=[0.3])

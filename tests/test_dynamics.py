@@ -3,6 +3,7 @@ oracles, linear-model assembly, ACE, and structural invariants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from agcsim.dynamics import (AreaParams, LfcModel, PlantInputs, TieTopology,
@@ -253,3 +254,75 @@ class TestPrimaryControlSteadyState:
         expected = -0.01 / sum(a.damping + 1 / a.droop for a in m.areas)
         for df in m.freq(state):
             assert abs(df - expected) / abs(expected) < 0.005
+
+
+def _span(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def connected_grids(draw):
+    """A random connected N-area grid, N <= 6, with plausible constants."""
+    n = draw(st.integers(1, 6))
+    areas = [AreaParams(inertia=draw(_span(0.1, 0.25)),
+                        damping=draw(_span(0.0, 0.02)),
+                        droop=draw(_span(1.5, 3.5)),
+                        governor_tc=draw(_span(0.05, 0.15)),
+                        turbine_tc=draw(_span(0.2, 0.5)),
+                        freq_bias=draw(_span(0.3, 0.6)))
+             for _ in range(n)]
+    coef = np.zeros((n, n))
+    for i in range(1, n):  # a spanning tree keeps the graph connected
+        j = draw(st.integers(0, i - 1))
+        coef[i, j] = coef[j, i] = draw(_span(0.02, 0.12))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=5)):
+        if i != j:
+            coef[i, j] = coef[j, i] = draw(_span(0.02, 0.12))
+    return LfcModel(areas, TieTopology(n, coef))
+
+
+def _period_error(model, h, steps, seed):
+    """Relative max error of period_map against `steps` sequential RK4
+    steps with the command held and a fresh load each step."""
+    rng = np.random.default_rng(seed)
+    n = model.n_areas
+    x = rng.normal(0, 0.05, model.dim)
+    u = rng.normal(0, 0.4, n)   # some entries beyond the saturation limit
+    loads = rng.normal(0, 0.02, (steps, n))
+    held = np.clip(u, -model.p_c_max, model.p_c_max)
+    lifted = model.period_map(h, steps) @ np.concatenate(
+        [x, held, loads.ravel()])
+    ref = []
+    state = x
+    for j in range(steps):
+        state = model.rk4_step(state, model.inputs(u, loads[j]), h)
+        ref.append(state)
+    ref = np.array(ref)
+    scale = max(np.max(np.abs(x)), np.max(np.abs(ref)))
+    return np.max(np.abs(lifted.reshape(steps, model.dim) - ref)) / scale
+
+
+class TestPeriodMap:
+    """period_map against rk4_step, the integrator it must reproduce."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=connected_grids(), h=_span(0.001, 0.02),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_step_is_rk4(self, model, h, seed):
+        # steps=1 is x+ = M x + N g for one held input g.
+        assert _period_error(model, h, 1, seed) <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=connected_grids(), h=_span(0.001, 0.02),
+           steps=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 1))
+    def test_period_is_sequential_rk4(self, model, h, steps, seed):
+        assert _period_error(model, h, steps, seed) <= 1e-14
+
+    def test_shape(self):
+        m = two_area_benchmark()
+        assert m.period_map(0.01, 10).shape == (10 * m.dim, m.dim + 2 + 20)
+
+    def test_bad_step_size(self):
+        with pytest.raises(StructuralError):
+            two_area_benchmark().period_map(0.0, 10)

@@ -5,9 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agcsim.attacks import AttackSignal, InjectionPoint
+from agcsim.attacks import (AttackSignal, InjectionPoint, corrupt_control,
+                            corrupt_measurements, measure)
 from agcsim.controllers import PidController, PidGains, ZeroController
-from agcsim.errors import InstabilityError, StructuralError
+from agcsim.dynamics import AreaParams
+from agcsim.errors import InstabilityError, NumericError, StructuralError
+from agcsim.factory import build_controller
 from agcsim.harness import (Trajectory, compare, compute_metrics,
                             control_reward, empty_trajectory,
                             format_comparison, read_trajectory_csv,
@@ -83,6 +86,166 @@ class TestRunEpisode:
         sc = Scenario(horizon=400.0, command_limit=60.0)
         with pytest.raises(InstabilityError):
             run_episode(sc, Runaway(2))
+
+
+def reference_episode(scenario, controller, model):
+    """The plain loop run_episode must reproduce: one rk4_step per plant
+    step, a scalar load sum, and a measurement frame at every plant step.
+
+    Returns (states, meas_freq, meas_tie, u_cmd, u_applied, rewards).
+    """
+    n = model.n_areas
+    h = scenario.plant_step
+    ratio = scenario.steps_per_control
+    k_total = scenario.n_control_steps * ratio
+    controller.reset()
+    attacks = scenario.attacks
+    state = model.zero_state()
+    rows = []
+    rewards = []
+    cmd = applied = np.zeros(n)
+    for k in range(k_total + 1):
+        t = k * h
+        frame = corrupt_measurements(measure(model, state, t), attacks, t)
+        if k % ratio == 0 and k < k_total:
+            cmd = np.asarray(controller.observe(frame), dtype=float)
+            applied = corrupt_control(cmd, attacks, t)
+        rows.append((state, frame.freq, frame.net_tie, cmd, applied))
+        if k == k_total:
+            break
+        load = np.zeros(n)
+        for ev in scenario.loads:
+            if t - ev.start >= 0:
+                load[ev.area] += ev.magnitude if ev.kind == "step" \
+                    else ev.magnitude * (t - ev.start)
+        state = model.rk4_step(state, model.inputs(applied, load), h)
+        if np.max(np.abs(state)) > 10.0:
+            raise InstabilityError(
+                f"state exceeded 10.0 p.u. at t={t + h:.3f}s", t=t + h)
+        if (k + 1) % ratio == 0:
+            rewards.append(control_reward(model, state,
+                                          scenario.control_period))
+    return (*(np.array(col) for col in zip(*rows)), np.array(rewards))
+
+
+def five_area_scenario(**kwargs):
+    """A ring of five areas with a tie across; attacks on every channel."""
+    n = 5
+    coef = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        coef[i, j] = coef[j, i] = 0.05 + 0.01 * i
+    coef[0, 2] = coef[2, 0] = 0.04
+    attacks = [
+        AttackSignal("ramp", 0.002, 2.0, InjectionPoint("tieline_sensor", 3)),
+        AttackSignal("pulse", -0.01, 1.0, InjectionPoint("frequency_sensor", 1),
+                     duration=1.5),
+        AttackSignal("step", 0.01, 3.0, InjectionPoint("control_signal", 4)),
+    ]
+    return Scenario(areas=[AreaParams(inertia=0.15 + 0.01 * i)
+                           for i in range(n)],
+                    tie_coefficients=coef, attacks=attacks,
+                    loads=[LoadEvent(2, "step", 0.01, 0.5),
+                           LoadEvent(0, "ramp", -0.002, 1.0)], **kwargs)
+
+
+class TestAgainstReferenceLoop:
+    """run_episode advances a control period per matrix product; it must
+    match the plain RK4 loop to round-off."""
+
+    @pytest.mark.parametrize("key", ["a", "b", "c"])
+    @pytest.mark.parametrize("spec", [None, "zero", "lqr", "mpc"])
+    def test_shipped_scenarios(self, key, spec):
+        sc = load_scenario(SCENARIO_DIR / f"scenario_{key}.txt")
+        m = sc.build_model()
+        traj = run_episode(sc, build_controller(sc, spec=spec, model=m),
+                           model=m)
+        states, mf, mt, uc, ua, rewards = reference_episode(
+            sc, build_controller(sc, spec=spec, model=m), m)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+        assert np.max(np.abs(traj.meas_freq - mf)) <= 1e-12
+        assert np.max(np.abs(traj.meas_tie - mt)) <= 1e-12
+        assert np.max(np.abs(traj.rewards - rewards)) <= 1e-12
+        if spec == "zero":
+            assert np.array_equal(traj.u_cmd, uc)
+            assert np.array_equal(traj.u_applied, ua)
+        else:
+            assert np.max(np.abs(traj.u_cmd - uc)) <= 1e-10
+            assert np.max(np.abs(traj.u_applied - ua)) <= 1e-10
+
+    def test_five_area_grid(self):
+        sc = five_area_scenario(horizon=6.0, plant_step=0.005,
+                                control_period=0.05)
+        m = sc.build_model()
+        pid = PidController(m.beta, PidGains(kp=0.3, ki=0.3),
+                            sc.control_period)
+        traj = run_episode(sc, pid, model=m)
+        states, mf, mt, uc, ua, rewards = reference_episode(sc, pid, m)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+        assert np.max(np.abs(traj.u_applied - ua)) <= 1e-10
+
+    def test_divergence_reports_first_step(self):
+        class Runaway(ZeroController):
+            def observe(self, frame):
+                return np.full(2, 1e6)
+
+        sc = Scenario(horizon=400.0, command_limit=60.0)
+        m = sc.build_model()
+        with pytest.raises(InstabilityError) as ref:
+            reference_episode(sc, Runaway(2), m)
+        with pytest.raises(InstabilityError) as got:
+            run_episode(sc, Runaway(2), model=m)
+        assert str(got.value) == str(ref.value)
+        assert got.value.t == ref.value.t
+
+    def test_non_finite_state(self, monkeypatch):
+        sc = Scenario(horizon=1.0)
+        m = sc.build_model()
+        lift = m.period_map(sc.plant_step, sc.steps_per_control)
+        lift[3 * m.dim] = np.nan   # a row of the period's fourth state
+        monkeypatch.setattr(m, "period_map", lambda h, steps: lift)
+        with pytest.raises(NumericError, match="non-finite state"):
+            run_episode(sc, ZeroController(2), model=m)
+
+
+class TestRecordedMeasurements:
+    """The per-plant-step measurement record is computed once per episode;
+    it must hold what corrupt_measurements gives for each row."""
+
+    @pytest.mark.parametrize("key", ["a", "b", "c"])
+    def test_bit_identical_to_per_row_frames(self, key):
+        sc = load_scenario(SCENARIO_DIR / f"scenario_{key}.txt")
+        m = sc.build_model()
+        traj = run_episode(sc, build_controller(sc, model=m), model=m)
+        for k, t in enumerate(traj.t):
+            frame = corrupt_measurements(measure(m, traj.states[k], t),
+                                         sc.attacks, t)
+            assert np.array_equal(frame.freq, traj.meas_freq[k])
+            assert np.array_equal(frame.net_tie, traj.meas_tie[k])
+
+    def test_controller_rows_exact_on_five_areas(self):
+        sc = five_area_scenario(horizon=3.0)
+        m = sc.build_model()
+
+        class Recorder(ZeroController):
+            seen = []
+
+            def observe(self, frame):
+                self.seen.append(frame.copy())
+                return super().observe(frame)
+
+        rec = Recorder(5)
+        traj = run_episode(sc, rec, model=m)
+        ratio = sc.steps_per_control
+        for i, frame in enumerate(rec.seen):
+            assert np.array_equal(frame.freq, traj.meas_freq[i * ratio])
+            assert np.array_equal(frame.net_tie, traj.meas_tie[i * ratio])
+        for k, t in enumerate(traj.t):
+            frame = corrupt_measurements(measure(m, traj.states[k], t),
+                                         sc.attacks, t)
+            assert np.array_equal(frame.freq, traj.meas_freq[k])
+            # Other rows: the stacked net tie flow sums in another order.
+            assert np.max(np.abs(frame.net_tie - traj.meas_tie[k])) <= 1e-15
 
 
 class TestComputeMetrics:

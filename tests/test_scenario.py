@@ -1,10 +1,13 @@
 """Scenario file parsing, validation, and defaults."""
 
+import re
+
 import numpy as np
 import pytest
 
 from agcsim.errors import ScenarioError
-from agcsim.scenario import Scenario, load_scenario, parse_scenario
+from agcsim.scenario import (LoadEvent, Scenario, load_profile,
+                             load_scenario, parse_scenario)
 
 from pathlib import Path
 
@@ -114,6 +117,24 @@ class TestEvents:
         assert sc.load_vector(2.0)[1] == 0.0
         assert sc.load_vector(5.0)[1] == pytest.approx(0.002)
 
+    def test_load_profile_array_matches_scalar_calls(self):
+        events = [LoadEvent(0, "step", 0.01, 1.0),
+                  LoadEvent(1, "ramp", -0.003, 0.5),
+                  LoadEvent(0, "ramp", 0.002, 2.0),
+                  LoadEvent(1, "step", -0.004, 0.0)]
+        t = np.arange(401) * 0.01
+        grid = load_profile(events, 2, t)
+        assert grid.shape == (401, 2)
+        for k, tk in enumerate(t):
+            want = np.zeros(2)   # the scalar sum over the active events
+            for ev in events:
+                dt = tk - ev.start
+                if dt >= 0:
+                    want[ev.area] += ev.magnitude if ev.kind == "step" \
+                        else ev.magnitude * dt
+            assert np.array_equal(load_profile(events, 2, tk), want)
+            assert np.array_equal(grid[k], want)
+
     def test_attack_section(self):
         text = ("[attack]\nkind = pulse\nchannel = tieline_sensor\n"
                 "area = 1\nmagnitude = 0.02\nstart = 4\nduration = 2\n")
@@ -157,6 +178,15 @@ class TestShippedScenarios:
         atk = sc.attacks[0]
         assert atk.kind == "ramp"
         assert atk.target.channel == "control_signal" and atk.target.area == 0
+
+
+class TestReadme:
+    def test_ini_blocks_parse(self):
+        text = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+        assert blocks
+        for block in blocks:
+            parse_scenario(block).build_model()
 
 
 class TestProgrammaticScenario:
