@@ -108,7 +108,25 @@ def zoh_discretize(A, B, h):
     return Ad, Bd
 
 
-def solve_dare(Ad, Bd, Q, R, tol=1e-12, max_iter=100_000):
+# solve_dare stops once no entry of P moves by DARE_TOL in one iteration and
+# gives up after DARE_MAX_ITER iterations.
+DARE_TOL = 1e-12
+DARE_MAX_ITER = 100_000
+
+
+def riccati_step(Ad, Bd, Q, R, P):
+    """One backward Riccati step from cost-to-go P.
+
+    Returns (P_prev, K): the cost-to-go one step earlier (symmetrized) and
+    the gain of the law u = -K x that is optimal against P.
+    """
+    BtP = Bd.T @ P
+    K = np.linalg.solve(R + BtP @ Bd, BtP @ Ad)
+    P_prev = Ad.T @ P @ (Ad - Bd @ K) + Q
+    return 0.5 * (P_prev + P_prev.T), K
+
+
+def solve_dare(Ad, Bd, Q, R):
     """Discrete algebraic Riccati equation by fixed-point iteration from P=Q.
 
     Returns (P, K) with the control law u = -K x.
@@ -118,18 +136,13 @@ def solve_dare(Ad, Bd, Q, R, tol=1e-12, max_iter=100_000):
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
     P = Q.copy()
-    for _ in range(max_iter):
-        BtP = Bd.T @ P
-        gain = np.linalg.solve(R + BtP @ Bd, BtP @ Ad)
-        P_next = Ad.T @ P @ (Ad - Bd @ gain) + Q
-        P_next = 0.5 * (P_next + P_next.T)
-        if np.max(np.abs(P_next - P)) < tol:
-            BtP = Bd.T @ P_next
-            K = np.linalg.solve(R + BtP @ Bd, BtP @ Ad)
-            return P_next, K
+    for _ in range(DARE_MAX_ITER):
+        P_next, _ = riccati_step(Ad, Bd, Q, R, P)
+        if np.max(np.abs(P_next - P)) < DARE_TOL:
+            return P_next, riccati_step(Ad, Bd, Q, R, P_next)[1]
         P = P_next
     raise ConvergenceError(
-        f"Riccati iteration did not converge within {max_iter} iterations")
+        f"Riccati iteration did not converge within {DARE_MAX_ITER} iterations")
 
 
 def dare_residual(Ad, Bd, Q, R, P):
@@ -172,17 +185,31 @@ def mpc_step(Ad, Bd, Q, R, P_term, horizon, x):
     return u_stack[:m]
 
 
-def default_weights(model):
-    """Quadratic weights mirroring the frequency/tie-flow penalty structure."""
-    dim = model.dim
+def mpc_gain(Ad, Bd, Q, R, P_term, horizon):
+    """Gain K of the first move u_0 = -K x of the problem mpc_step solves.
+
+    With a terminal cost the finite-horizon first move is `horizon` backward
+    Riccati steps from P_term (Anderson & Moore, Optimal Control: Linear
+    Quadratic Methods, 1990).
+    """
+    if horizon < 1:
+        raise StructuralError("MPC horizon must be >= 1")
+    P = np.asarray(P_term, dtype=float)
+    for _ in range(horizon):
+        P, K = riccati_step(Ad, Bd, Q, R, P)
+    return K
+
+
+def default_weights(model, q_freq=1.0, q_tie=1.0, r_weight=0.1):
+    """Quadratic weights mirroring the frequency/tie-flow penalty structure.
+
+    Q weights df_i by q_freq*beta_i^2 and every tie pair state by q_tie;
+    R = r_weight * I.
+    """
     n = model.n_areas
-    Q = np.zeros((dim, dim))
-    for i in range(n):
-        Q[i, i] = model.beta[i] ** 2
-    for k in range(model.n_pairs):
-        Q[3 * n + k, 3 * n + k] = 1.0
-    R = 0.1 * np.eye(n)
-    return Q, R
+    Q = np.diag(np.concatenate([q_freq * model.beta ** 2, np.zeros(2 * n),
+                                np.full(model.n_pairs, q_tie)]))
+    return Q, r_weight * np.eye(n)
 
 
 # ---------------------------------------------------------------------------
@@ -195,53 +222,40 @@ class StateEstimator:
     Frequencies come from the frame; tie pair states are the least-squares
     fit of the measured per-area net flows; turbine and governor states are
     propagated open-loop from this controller's own past commands using the
-    exact per-area discrete model (no observer, a documented limitation).
+    exact discrete model (no observer, a documented limitation).
     """
 
     def __init__(self, model, period):
         self.model = model
         self.period = period
         n = model.n_areas
-        # Exact ZOH discretization of d[pm;pv]/dt driven by [u, df].
-        self._ad = []
-        self._bd = []
-        for area in model.areas:
-            a2 = np.array([[-1.0 / area.turbine_tc, 1.0 / area.turbine_tc],
-                           [0.0, -1.0 / area.governor_tc]])
-            b2 = np.array([[0.0, 0.0],
-                           [1.0 / area.governor_tc,
-                            -1.0 / (area.droop * area.governor_tc)]])
-            ad, bd = zoh_discretize(a2, b2, period)
-            self._ad.append(ad)
-            self._bd.append(bd)
+        # Rows/columns n:3n of the plant are d[pm;pv]/dt, driven by the
+        # commands and the frequencies; discretize them exactly (ZOH).
+        A, B = model.assemble_linear_model()
+        turb = slice(n, 3 * n)
+        self._ad, self._bd = zoh_discretize(
+            A[turb, turb], np.hstack([B[turb], A[turb, :n]]), period)
         # Net flow = incidence @ pair states; pinv gives the LS inverse.
         self._pinv = np.linalg.pinv(model._incidence)
         self.reset()
 
     def reset(self):
-        n = self.model.n_areas
-        self._mech = np.zeros(n)
-        self._valve = np.zeros(n)
+        self._z = np.zeros(2 * self.model.n_areas)
 
     def estimate(self, frame):
         model = self.model
         n = model.n_areas
         x = np.zeros(model.dim)
         x[:n] = frame.freq
-        x[n:2 * n] = self._mech
-        x[2 * n:3 * n] = self._valve
+        x[n:3 * n] = self._z
         x[3 * n:] = self._pinv @ frame.net_tie
         return x
 
     def advance(self, frame, command):
         """Propagate the internal turbine/governor states one period."""
-        for i in range(self.model.n_areas):
-            z = np.array([self._mech[i], self._valve[i]])
-            u = np.array([command[i], frame.freq[i]])
-            z = self._ad[i] @ z + self._bd[i] @ u
-            self._mech[i], self._valve[i] = z
-        if not (np.all(np.isfinite(self._mech))
-                and np.all(np.isfinite(self._valve))):
+        self._z = self._ad @ self._z + self._bd @ np.concatenate(
+            [command, frame.freq])
+        if not np.all(np.isfinite(self._z)):
             raise NumericError("state estimator diverged")
 
 
@@ -279,14 +293,10 @@ class MpcController:
         A, B = model.assemble_linear_model()
         self.Ad, self.Bd = zoh_discretize(A, B, period)
         self.Q, self.R = Q, R
-        self.P, _ = solve_dare(self.Ad, self.Bd, Q, R)
         self.horizon = horizon
-        # The unconstrained first move is linear in the state; cache its gain
-        # column by column against the generic solver.
-        n = self.Ad.shape[0]
-        self._gain = np.column_stack([
-            -mpc_step(self.Ad, self.Bd, Q, R, self.P, horizon, e)
-            for e in np.eye(n)])
+        # The unconstrained first move is linear in the state: u = -gain x.
+        self.P, _ = solve_dare(self.Ad, self.Bd, Q, R)
+        self._gain = mpc_gain(self.Ad, self.Bd, Q, R, self.P, horizon)
         self._est = StateEstimator(model, period)
 
     def reset(self):

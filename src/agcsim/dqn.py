@@ -15,7 +15,9 @@ import numpy as np
 from .attacks import (AttackSignal, InjectionPoint, corrupt_control,
                       corrupt_measurements, measure)
 from .errors import InstabilityError, NumericError, StructuralError
-from .harness import DIVERGENCE_LIMIT, control_reward, step_penalty
+# step_penalty stays bound here: perfbench/selftest.py checks that the span
+# tracer patches functions under the names other modules import them by.
+from .harness import DIVERGENCE_LIMIT, control_reward, step_penalty  # noqa: F401
 from .scenario import LoadEvent, load_profile
 
 CHECKPOINT_MAGIC = "agcsim-qnet"
@@ -168,12 +170,6 @@ class ActionTable:
             raise StructuralError(f"action index {index} out of range")
         return self._table[index]
 
-    def index_of(self, per_area_levels):
-        idx = 0
-        for lvl in per_area_levels:
-            idx = idx * self.levels + lvl
-        return idx
-
 
 def select_action(q_values, epsilon, rng=None):
     """Epsilon-greedy selection; greedy ties break to the lowest index."""
@@ -319,7 +315,6 @@ class HyperParams:
     reward_scale: float = 1.0         # replay-side conditioning factor
     obs_scale: float = 1.0            # input feature scaling (p.u. are tiny)
     max_grad_norm: float = 10.0       # global gradient-norm clip; None = off
-    reward_rule: str = "rectangle"    # or "trapezoid"
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -328,8 +323,6 @@ class HyperParams:
             raise StructuralError("epsilon schedule must stay in [0, 1]")
         if self.learning_rate <= 0 or self.batch_size < 1:
             raise StructuralError("bad optimizer configuration")
-        if self.reward_rule not in ("rectangle", "trapezoid"):
-            raise StructuralError("reward_rule must be rectangle or trapezoid")
 
     def epsilon(self, step, total_steps):
         """Linear decay from eps_start to eps_end over the first fraction."""
@@ -423,7 +416,6 @@ def train(scenario, hyper=None, episodes=300, seed=0):
             eps = hyper.epsilon(global_step, total_steps)
             action = select_action(net.forward(obs), eps, rng)
             applied = corrupt_control(table.commands(action), attacks, t)
-            prev_penalty = step_penalty(model, state)
             for sub in range(ratio):
                 inputs = model.inputs(applied, load_grid[step, sub])
                 state = model.rk4_step(state, inputs, h)
@@ -431,10 +423,7 @@ def train(scenario, hyper=None, episodes=300, seed=0):
                 raise InstabilityError(
                     f"training episode {episode} diverged at step {step}",
                     t=t + dt)
-            if hyper.reward_rule == "trapezoid":
-                r = -dt * 0.5 * (prev_penalty + step_penalty(model, state))
-            else:
-                r = control_reward(model, state, dt)
+            r = control_reward(model, state, dt)
             t_next = (step + 1) * dt
             frame = corrupt_measurements(measure(model, state, t_next),
                                          attacks, t_next)
@@ -508,28 +497,50 @@ def save_checkpoint(net, table, path, obs_scale=1.0):
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns (net, table, obs_scale)."""
+    """Load a checkpoint; returns (net, table, obs_scale).
+
+    A truncated or garbled file raises StructuralError naming the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    head = lines[0].split()
-    if head[0] != CHECKPOINT_MAGIC or int(head[1]) != CHECKPOINT_VERSION:
-        raise StructuralError(f"{path}: not a version-{CHECKPOINT_VERSION} "
-                              "checkpoint")
-    n_areas = int(lines[1].split()[1])
-    levels = int(lines[2].split()[1])
-    span = float.fromhex(lines[3].split()[1])
-    obs_scale = float.fromhex(lines[4].split()[1])
-    sizes = [int(s) for s in lines[5].split()[1:]]
+        try:
+            return _parse_checkpoint(fh.read().splitlines())
+        except (StructuralError, ValueError) as exc:  # incl. bad UTF-8
+            raise StructuralError(f"{path}: {exc}") from None
+
+
+_HEADER_KEYS = ("areas", "levels", "span", "obs_scale", "sizes")
+
+
+def _parse_checkpoint(lines):
+    """Checkpoint lines -> (net, table, obs_scale); counts are checked first."""
+    if not lines or lines[0].split() != [CHECKPOINT_MAGIC,
+                                         str(CHECKPOINT_VERSION)]:
+        raise StructuralError(
+            f"not a version-{CHECKPOINT_VERSION} checkpoint")
+    fields = [line.split() for line in lines[1:1 + len(_HEADER_KEYS)]]
+    if [f[:1] for f in fields] != [[key] for key in _HEADER_KEYS] or \
+            any(len(f) != 2 for f in fields[:-1]) or len(fields[-1]) < 3:
+        raise StructuralError("truncated or garbled checkpoint header")
+    n_areas, levels = int(fields[0][1]), int(fields[1][1])
+    span, obs_scale = float.fromhex(fields[2][1]), float.fromhex(fields[3][1])
+    sizes = [int(s) for s in fields[4][1:]]
+    row = 1 + len(_HEADER_KEYS)
+    if len(lines) != row + 2 * (len(sizes) - 1):
+        raise StructuralError(
+            f"{len(lines)} lines, expected {row + 2 * (len(sizes) - 1)} for "
+            f"{len(sizes) - 1} layers")
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        w, b = ([float.fromhex(v) for v in lines[r].split()]
+                for r in (row, row + 1))
+        if fan_out < 1 or len(w) != fan_in * fan_out or len(b) != fan_out:
+            raise StructuralError(f"layer {fan_in}x{fan_out} has "
+                                  f"{len(w)} weights and {len(b)} biases")
+        weights.append(np.array(w).reshape(fan_in, fan_out))
+        biases.append(np.array(b))
+        row += 2
+    if sizes[0] != 2 * n_areas or sizes[-1] != levels ** n_areas:
+        raise StructuralError("inconsistent checkpoint shapes")
     net = QNetwork(sizes)
-    row = 6
-    for layer in range(len(sizes) - 1):
-        w = np.array([float.fromhex(v) for v in lines[row].split()])
-        net.weights[layer] = w.reshape(sizes[layer], sizes[layer + 1])
-        row += 1
-        net.biases[layer] = np.array(
-            [float.fromhex(v) for v in lines[row].split()])
-        row += 1
-    table = ActionTable(n_areas, levels=levels, span=span)
-    if net.out_dim != table.size:
-        raise StructuralError(f"{path}: inconsistent checkpoint shapes")
-    return net, table, obs_scale
+    net.weights, net.biases = weights, biases
+    return net, ActionTable(n_areas, levels=levels, span=span), obs_scale

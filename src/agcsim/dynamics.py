@@ -10,7 +10,7 @@ unordered area pair (i < j), lexicographic order.  The reverse flow ptie_ji
 is never stored; readers obtain it as -ptie_ij.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class AreaParams:
     freq_bias: float = 0.425      # beta, p.u. power per p.u. frequency
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise StructuralError("area constants must be finite")
         if self.inertia <= 0 or self.governor_tc <= 0 or self.turbine_tc <= 0:
             raise StructuralError("inertia and time constants must be positive")
         if self.droop <= 0:
@@ -62,14 +64,20 @@ class TieTopology:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         if self.coefficients.shape != (n, n):
             raise StructuralError(f"coefficient matrix must be {n}x{n}")
-        if np.any(self.coefficients < 0):
-            raise StructuralError("synchronizing coefficients must be >= 0")
+        self.check_coefficients(self.coefficients)
         if np.any(np.diag(self.coefficients) != 0):
             raise StructuralError("T_ii must be zero")
         if not np.array_equal(self.coefficients, self.coefficients.T):
             raise StructuralError("coefficient matrix must be symmetric")
         if n >= 2 and not self._connected():
             raise StructuralError("tie-line graph must be connected")
+
+    @staticmethod
+    def check_coefficients(coefficients):
+        """Raise StructuralError unless every coefficient is finite, >= 0."""
+        if not np.all(np.isfinite(coefficients) & (coefficients >= 0)):
+            raise StructuralError(
+                "synchronizing coefficients must be finite and >= 0")
 
     def _connected(self):
         n = self.n_areas

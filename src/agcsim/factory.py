@@ -1,7 +1,5 @@
 """Build controller instances from a scenario's controller block or a CLI spec."""
 
-import numpy as np
-
 from . import controllers, dqn
 from .errors import ScenarioError
 
@@ -38,15 +36,9 @@ def build_controller(scenario, spec=None, model=None):
             deriv_filter=spec.get("deriv_filter", 50.0))
         return controllers.PidController(model.beta, gains, period)
     if ctype in ("lqr", "mpc"):
-        Q, R = controllers.default_weights(model)
-        if "q_freq" in spec:
-            for i in range(model.n_areas):
-                Q[i, i] = spec["q_freq"] * model.beta[i] ** 2
-        if "q_tie" in spec:
-            for k in range(model.n_pairs):
-                Q[3 * model.n_areas + k, 3 * model.n_areas + k] = spec["q_tie"]
-        if "r_weight" in spec:
-            R = spec["r_weight"] * np.eye(model.n_areas)
+        Q, R = controllers.default_weights(model, **{
+            key: spec[key] for key in ("q_freq", "q_tie", "r_weight")
+            if key in spec})
         if ctype == "lqr":
             return controllers.LqrController(model, period, Q=Q, R=R)
         return controllers.MpcController(model, period, Q=Q, R=R,

@@ -48,7 +48,7 @@ import numpy as np
 from .attacks import AttackSignal, InjectionPoint, ATTACK_KINDS, CHANNELS
 from .dynamics import (AreaParams, LfcModel, TieTopology, DEFAULT_P_C_MAX,
                        two_area_benchmark)
-from .errors import ScenarioError
+from .errors import ScenarioError, StructuralError
 
 FORMAT_VERSION = 1
 
@@ -68,8 +68,20 @@ _CONTROLLER_KEYS = {
     "pid": {"kp", "ki", "kd", "deriv_filter"},
     "lqr": {"q_freq", "q_tie", "r_weight"},
     "mpc": {"q_freq", "q_tie", "r_weight", "horizon_steps"},
-    "dqn": {"checkpoint", "levels", "span"},
+    "dqn": {"checkpoint"},
     "zero": set(),
+}
+
+# Lower bound of each bounded [controller] number: (bound, bound allowed).
+# PidGains needs ki >= 0 and deriv_filter > 0; the LQR/MPC weights must not
+# be negative (r_weight = 0 builds).  Every number must also be finite.
+_CONTROLLER_BOUNDS = {
+    "ki": (0.0, True),
+    "deriv_filter": (0.0, False),
+    "q_freq": (0.0, True),
+    "q_tie": (0.0, True),
+    "r_weight": (0.0, True),
+    "horizon_steps": (1, True),
 }
 
 
@@ -139,6 +151,10 @@ class Scenario:
             raise ScenarioError(
                 "horizon must be a positive integer multiple of control_period")
         n = len(self.areas)
+        try:
+            TieTopology(n, self.tie_coefficients)
+        except StructuralError as exc:
+            raise ScenarioError(str(exc)) from None
         for ev in self.loads:
             if not 0 <= ev.area < n:
                 raise ScenarioError(f"load event targets missing area {ev.area + 1}")
@@ -193,6 +209,30 @@ def _parse_int(raw, key, line):
     if not np.isfinite(val) or val != int(val):
         raise ScenarioError(f"value for {key!r} must be an integer", line)
     return int(val)
+
+
+def _checked(line, build, *args, **kwargs):
+    """build(*args, **kwargs), with a StructuralError reported at line."""
+    try:
+        return build(*args, **kwargs)
+    except StructuralError as exc:
+        raise ScenarioError(str(exc), line) from None
+
+
+def _controller_number(raw, key, line):
+    """A finite [controller] number within _CONTROLLER_BOUNDS."""
+    if key == "horizon_steps":
+        val = _parse_int(raw, key, line)
+    else:
+        val = _parse_number(raw, key, line)
+    if not np.isfinite(val):
+        raise ScenarioError(f"value for {key!r} must be finite", line)
+    if key in _CONTROLLER_BOUNDS:
+        bound, inclusive = _CONTROLLER_BOUNDS[key]
+        if val < bound or (val == bound and not inclusive):
+            op = ">=" if inclusive else ">"
+            raise ScenarioError(f"{key} must be {op} {bound}", line)
+    return val
 
 
 def _split_sections(text):
@@ -280,7 +320,7 @@ def parse_scenario(text):
             pairs = _section_dict(sec, set(_AREA_KEYS))
             fields = {_AREA_KEYS[k]: _parse_number(v, k, ln)
                       for k, (v, ln) in pairs.items()}
-            area_specs[idx] = (fields, sec["line"])
+            area_specs[idx] = _checked(sec["line"], AreaParams, **fields)
         elif name == "tie":
             if len(sec["args"]) != 2:
                 raise ScenarioError("[tie] needs two area indices", sec["line"])
@@ -294,6 +334,7 @@ def parse_scenario(text):
                 raise ScenarioError("[tie] requires a coefficient", sec["line"])
             coef = _parse_number(pairs["coefficient"][0], "coefficient",
                                  pairs["coefficient"][1])
+            _checked(sec["line"], TieTopology.check_coefficients, coef)
             key = (min(i, j) - 1, max(i, j) - 1)
             if key in tie_specs:
                 raise ScenarioError(f"tie {i}-{j} defined twice", sec["line"])
@@ -363,10 +404,8 @@ def parse_scenario(text):
                         f"type {ctype!r}", lineno)
                 if key == "checkpoint":
                     controller[key] = value
-                elif key in ("horizon_steps", "levels"):
-                    controller[key] = _parse_int(value, key, lineno)
                 else:
-                    controller[key] = _parse_number(value, key, lineno)
+                    controller[key] = _controller_number(value, key, lineno)
         else:
             raise ScenarioError(f"unknown section [{name}]", sec["line"])
 
@@ -376,7 +415,7 @@ def parse_scenario(text):
         if missing:
             raise ScenarioError("area indices must be contiguous from 1; "
                                 "missing " + ", ".join(missing))
-        areas = [AreaParams(**area_specs[i][0]) for i in range(1, n + 1)]
+        areas = [area_specs[i] for i in range(1, n + 1)]
         coef = np.zeros((n, n))
         for (i, j), c in tie_specs.items():
             if i >= n or j >= n:

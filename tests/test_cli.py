@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from agcsim.cli import main, EXIT_PARSE, EXIT_INSTABILITY
+from agcsim.controllers import solve_dare, zoh_discretize
 from agcsim.factory import build_controller
 from agcsim.harness import compare
 from agcsim.scenario import Scenario, load_scenario
@@ -22,6 +23,26 @@ horizon = 2.0
 [controller]
 type = zero
 """
+
+
+# Bad [controller], [area] and [tie] values, each with the line the scenario
+# error must name: the key's line in [controller], the section's otherwise.
+BAD_SECTION_VALUES = [
+    ("[controller]\ntype = lqr\nr_weight = -1\n", 3),
+    ("[controller]\ntype = lqr\nr_weight = nan\n", 3),
+    ("[controller]\ntype = lqr\nq_freq = nan\n", 3),
+    ("[controller]\ntype = mpc\nq_tie = -5\n", 3),
+    ("[controller]\ntype = mpc\nhorizon_steps = 0\n", 3),
+    ("[controller]\ntype = pid\nki = -1\n", 3),
+    ("[controller]\ntype = pid\nkp = nan\n", 3),
+    ("[controller]\ntype = pid\nkd = inf\n", 3),
+    ("[controller]\ntype = pid\nderiv_filter = 0\n", 3),
+    ("[area 1]\ninertia = -1\n", 1),
+    ("[area 1]\ninertia = nan\n", 1),
+    ("[area 1]\n[area 2]\ndamping = nan\n", 2),
+    ("[area 1]\n[area 2]\n[tie 1 2]\ncoefficient = nan\n", 3),
+    ("[area 1]\n[area 2]\n[tie 1 2]\ncoefficient = -0.1\n", 3),
+]
 
 
 @pytest.fixture
@@ -82,12 +103,23 @@ class TestScenarioValidation:
         "horizon = 1.05\n",          # 10.5 control periods
         "seed = inf\n",
         "[load]\narea = nan\nmagnitude = 0.01\n",
+        "[area 1]\n[area 2]\n",    # no tie: the grid is not connected
+        *(text for text, _ in BAD_SECTION_VALUES),
     ])
     def test_rejected_with_exit_code_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)
         assert main(["simulate", str(path)]) == EXIT_PARSE
-        assert capsys.readouterr().err.startswith("scenario error:")
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:")
+        line = dict(BAD_SECTION_VALUES).get(text)
+        if line is not None:
+            assert err.startswith(f"scenario error: line {line}:")
+
+    def test_zero_r_weight_accepted(self, tmp_path, capsys):
+        path = tmp_path / "sc.txt"
+        path.write_text(MINIMAL.replace("zero", "lqr") + "r_weight = 0\n")
+        assert main(["simulate", str(path)]) == 0
 
     def test_multiple_within_tolerance_accepted(self):
         sc = Scenario(horizon=0.3, control_period=0.1)  # 2.9999999999999996
@@ -152,6 +184,29 @@ class TestEvaluateAndCompare:
         rc = main(["evaluate", str(sc), "--controller", f"dqn:{ckpt}"])
         assert rc == 0
 
+    def test_truncated_or_garbled_checkpoint_is_an_error(self, tmp_path,
+                                                         capsys):
+        sc = tmp_path / "sc.txt"
+        sc.write_text("horizon = 1.0\n")
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", str(sc), "--episodes", "1", "--seed", "0",
+                     "--checkpoint", str(ckpt)]) == 0
+        lines = ckpt.read_text().splitlines(keepends=True)
+        # A valid checkpoint cut after each of its lines, then one with a
+        # bad hex value in its first weight row.
+        bad = [lines[:keep] for keep in range(len(lines))]
+        _, rest = lines[6].split(" ", 1)
+        bad.append(lines[:6] + ["0xzz " + rest] + lines[7:])
+        broken = tmp_path / "broken.ckpt"
+        capsys.readouterr()
+        for content in bad:
+            broken.write_text("".join(content))
+            rc = main(["evaluate", str(sc), "--controller", f"dqn:{broken}"])
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 1, content
+            assert len(err) == 1 and err[0].startswith("error:"), err
+            assert str(broken) in err[0]
+
     def test_compare_table_and_csv(self, minimal_scenario, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         rc = main(["compare", str(minimal_scenario),
@@ -176,6 +231,44 @@ class TestEvaluateAndCompare:
         assert float(rows["pid"]["ise"]) < float(rows["zero"]["ise"])
 
 
+# A 3-area complete grid with distinct constants.  With the default weights
+# LQR/MPC cannot be built on it (a tie-loop mode that no command reaches is
+# weighted in Q); with q_tie = 0 they can.
+GRID3 = """\
+horizon = 10.0
+
+[area 1]
+inertia = 0.15
+[area 2]
+inertia = 0.2
+droop = 2.0
+[area 3]
+inertia = 0.18
+turbine_tc = 0.4
+governor_tc = 0.1
+
+[tie 1 2]
+coefficient = 0.06
+[tie 1 3]
+coefficient = 0.05
+[tie 2 3]
+coefficient = 0.07
+
+[load]
+area = 2
+magnitude = 0.01
+start = 1.0
+"""
+
+
+@pytest.mark.parametrize("ctype", ["lqr", "mpc"])
+def test_three_area_complete_grid_builds_without_tie_weight(tmp_path, capsys,
+                                                             ctype):
+    path = tmp_path / "grid3.txt"
+    path.write_text(GRID3 + f"[controller]\ntype = {ctype}\nq_tie = 0\n")
+    assert main(["simulate", str(path)]) == 0
+
+
 class TestTunePidCli:
     def test_prints_gain_block(self, tmp_path, capsys):
         sc = tmp_path / "sc.txt"
@@ -197,6 +290,30 @@ class TestFactory:
         sc = Scenario(horizon=2.0, controller={"type": "dqn"})
         with pytest.raises(ScenarioError, match="checkpoint"):
             build_controller(sc)
+
+    @pytest.mark.parametrize("weights", [
+        {}, {"q_freq": 2.5}, {"q_tie": 0.0}, {"r_weight": 0.07},
+        {"q_freq": 0.7, "q_tie": 0.3, "r_weight": 0.0},
+    ])
+    def test_weight_overrides_bit_exact(self, weights):
+        sc = load_scenario(SCENARIO_DIR / "scenario_a.txt")
+        m = sc.build_model()
+        # The weights as built entry by entry before default_weights took
+        # the scenario keys.
+        n = m.n_areas
+        Q = np.zeros((m.dim, m.dim))
+        for i in range(n):
+            Q[i, i] = weights.get("q_freq", 1.0) * m.beta[i] ** 2
+        for k in range(m.n_pairs):
+            Q[3 * n + k, 3 * n + k] = weights.get("q_tie", 1.0)
+        R = weights.get("r_weight", 0.1) * np.eye(n)
+
+        mpc = build_controller(sc, spec={"type": "mpc", **weights}, model=m)
+        assert np.array_equal(mpc.Q, Q) and np.array_equal(mpc.R, R)
+        lqr = build_controller(sc, spec={"type": "lqr", **weights}, model=m)
+        Ad, Bd = zoh_discretize(*m.assemble_linear_model(), sc.control_period)
+        P, K = solve_dare(Ad, Bd, Q, R)
+        assert np.array_equal(lqr.P, P) and np.array_equal(lqr.K, K)
 
     def test_scenario_gains_respected(self):
         sc = load_scenario(SCENARIO_DIR / "scenario_a.txt")

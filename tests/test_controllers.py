@@ -7,9 +7,10 @@ import pytest
 from agcsim.attacks import MeasurementFrame
 from agcsim.controllers import (LqrController, MpcController, PidController,
                                 PidGains, StateEstimator, ZeroController,
-                                dare_residual, default_weights, mpc_step,
-                                solve_dare, tune_pid, zoh_discretize)
-from agcsim.dynamics import two_area_benchmark
+                                dare_residual, default_weights, mpc_gain,
+                                mpc_step, solve_dare, tune_pid, zoh_discretize)
+from agcsim.dynamics import (AreaParams, LfcModel, TieTopology,
+                             two_area_benchmark)
 from agcsim.errors import InstabilityError, StructuralError
 from agcsim.harness import run_episode
 from agcsim.scenario import LoadEvent, Scenario
@@ -129,6 +130,22 @@ class TestMpc:
             u = mpc_step(Ad, Bd, Q, R, P, horizon, x)
             assert np.max(np.abs(u - (-K @ x))) < 1e-9
 
+    # A Riccati terminal cost is a fixed point of the recursion, so these
+    # terminal costs are the ones that tell the two solvers apart.
+    @pytest.mark.parametrize("terminal", ["Q", "zero"])
+    @pytest.mark.parametrize("horizon", [1, 3, 20])
+    def test_recursion_gain_equals_batch_solution(self, horizon, terminal):
+        m = two_area_benchmark()
+        A, B = m.assemble_linear_model()
+        Ad, Bd = zoh_discretize(A, B, 0.1)
+        Q, R = default_weights(m)
+        P_term = Q if terminal == "Q" else np.zeros_like(Q)
+        batch = np.column_stack([-mpc_step(Ad, Bd, Q, R, P_term, horizon, e)
+                                 for e in np.eye(m.dim)])
+        gain = mpc_gain(Ad, Bd, Q, R, P_term, horizon)
+        assert np.max(np.abs(gain - batch)) < 1e-12 * max(
+            1.0, np.max(np.abs(batch)))
+
     def test_one_step_scalar_closed_form(self):
         a, b, q, r, p = 0.9, 0.7, 1.0, 0.3, 2.0
         x = 0.4
@@ -141,6 +158,8 @@ class TestMpc:
         with pytest.raises(StructuralError):
             mpc_step(np.eye(1), np.eye(1), np.eye(1), np.eye(1), np.eye(1),
                      0, np.zeros(1))
+        with pytest.raises(StructuralError):
+            mpc_gain(np.eye(1), np.eye(1), np.eye(1), np.eye(1), np.eye(1), 0)
 
 
 class TestClosedLoopControllers:
@@ -190,6 +209,46 @@ class TestClosedLoopControllers:
             true = traj.states[k * ratio]
             assert np.max(np.abs(est[:2] - true[:2])) < 1e-12   # measured df
             assert np.max(np.abs(est[6:] - true[6:])) < 1e-12   # measured tie
+
+    def test_estimator_equals_per_area_oracle(self):
+        # A 3-area path grid with distinct constants, so a swapped block or
+        # input order shows; the oracle discretizes each area's turbine and
+        # governor on its own and steps them one area at a time.
+        areas = [AreaParams(inertia=0.15, droop=2.0, governor_tc=0.07,
+                            turbine_tc=0.25),
+                 AreaParams(inertia=0.2, droop=2.6, governor_tc=0.09,
+                            turbine_tc=0.35),
+                 AreaParams(inertia=0.18, droop=3.1, governor_tc=0.12,
+                            turbine_tc=0.45)]
+        coef = np.zeros((3, 3))
+        coef[0, 1] = coef[1, 0] = 0.06
+        coef[1, 2] = coef[2, 1] = 0.04
+        m = LfcModel(areas, TieTopology(3, coef))
+        period = 0.1
+        blocks = []
+        for a in areas:
+            a2 = np.array([[-1.0 / a.turbine_tc, 1.0 / a.turbine_tc],
+                           [0.0, -1.0 / a.governor_tc]])
+            b2 = np.array([[0.0, 0.0],
+                           [1.0 / a.governor_tc,
+                            -1.0 / (a.droop * a.governor_tc)]])
+            blocks.append(zoh_discretize(a2, b2, period))
+        mech, valve = np.zeros(3), np.zeros(3)
+
+        est = StateEstimator(m, period)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            f = frame(rng.normal(0, 0.01, 3), rng.normal(0, 0.01, 3))
+            x = est.estimate(f)
+            assert np.max(np.abs(x[3:6] - mech)) < 1e-15
+            assert np.max(np.abs(x[6:9] - valve)) < 1e-15
+            u = rng.normal(0, 0.05, 3)
+            est.advance(f, u)
+            for i, (ad, bd) in enumerate(blocks):
+                z = ad @ [mech[i], valve[i]] + bd @ [u[i], f.freq[i]]
+                mech[i], valve[i] = z
+        assert np.max(np.abs(mech)) > 1e-3   # the commands moved the states
+
 
 class TestTunePid:
     def test_single_candidate_returned(self):

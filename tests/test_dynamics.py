@@ -22,7 +22,8 @@ class TestAreaParams:
     @pytest.mark.parametrize("field,value", [
         ("inertia", 0.0), ("inertia", -1.0), ("governor_tc", 0.0),
         ("turbine_tc", -0.1), ("droop", 0.0), ("damping", -0.01),
-        ("freq_bias", 0.0),
+        ("freq_bias", 0.0), ("inertia", np.nan), ("damping", np.nan),
+        ("droop", np.inf),
     ])
     def test_invalid_rejected(self, field, value):
         with pytest.raises(StructuralError):
@@ -38,6 +39,12 @@ class TestTieTopology:
     def test_nonzero_diagonal_rejected(self):
         coef = np.array([[0.1, 0.1], [0.1, 0.0]])
         with pytest.raises(StructuralError):
+            TieTopology(2, coef)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
+    def test_bad_coefficient_rejected(self, value):
+        coef = np.array([[0.0, value], [value, 0.0]])
+        with pytest.raises(StructuralError, match="finite and >= 0"):
             TieTopology(2, coef)
 
     def test_disconnected_rejected(self):
