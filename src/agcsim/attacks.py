@@ -117,10 +117,11 @@ def corrupt_measurements(frame, attacks, t):
 
 
 def corrupt_control(commands, attacks, t):
-    """Apply all control-channel attacks to a command vector."""
+    """Apply all control-channel attacks to a command vector, or to a stack
+    of them with areas on the last axis."""
     out = np.array(commands, dtype=float)
     for atk in attacks:
-        _check_area(atk, len(out))
+        _check_area(atk, out.shape[-1])
         if atk.target.channel == "control_signal":
-            out[atk.target.area] += signal_value(atk, t)
+            out[..., atk.target.area] += signal_value(atk, t)
     return out

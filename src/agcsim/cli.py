@@ -38,8 +38,8 @@ def cmd_simulate(args):
 def cmd_train(args):
     scenario = load_scenario(args.scenario)
     hyper = dqn.HyperParams()
-    net, log = dqn.train(scenario, hyper, episodes=args.episodes,
-                         seed=args.seed)
+    seed = scenario.seed if args.seed is None else args.seed
+    net, log = dqn.train(scenario, hyper, episodes=args.episodes, seed=seed)
     table = dqn.ActionTable(len(scenario.areas), levels=hyper.levels,
                             span=hyper.span)
     dqn.save_checkpoint(net, table, args.checkpoint, hyper.obs_scale)
@@ -116,7 +116,8 @@ def build_parser():
     p = sub.add_parser("train", help="train a DQN controller")
     p.add_argument("scenario", help="base scenario defining grid and timing")
     p.add_argument("--episodes", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="training seed (default: the scenario's seed)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", help="training log CSV path")
     p.set_defaults(func=cmd_train)

@@ -10,13 +10,16 @@ Instances own mutable state (integrators, model estimates) and must not be
 shared across concurrent episodes; distinct instances are independent.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import (ConvergenceError, InstabilityError, NumericError,
-                     StructuralError, TuningError)
+from .errors import (ConvergenceError, NumericError, StructuralError,
+                     TuningError)
+from .harness import _rollout, penalties
+from .scenario import LoadEvent
 
 
 class ZeroController:
@@ -38,7 +41,11 @@ class ZeroController:
 
 @dataclass
 class PidGains:
-    """Per-area PID gains acting on ACE; scalars broadcast over areas."""
+    """Per-area PID gains acting on ACE; scalars broadcast over areas.
+
+    A gain may also be an array, such as a (B, 1) column that gives each
+    episode of a stacked rollout its own gain; every entry is checked.
+    """
 
     kp: float = 0.0
     ki: float = 0.0
@@ -46,9 +53,9 @@ class PidGains:
     deriv_filter: float = 50.0  # first-order filter pole N_f, 1/s
 
     def __post_init__(self):
-        if self.ki < 0:
+        if np.any(np.asarray(self.ki) < 0):
             raise StructuralError("ki must be >= 0")
-        if self.deriv_filter <= 0:
+        if np.any(np.asarray(self.deriv_filter) <= 0):
             raise StructuralError("derivative filter coefficient must be > 0")
 
 
@@ -317,12 +324,9 @@ def tune_pid(scenario, kp_grid=None, ki_grid=None):
     """Grid-search (Kp, Ki) on an attack-free step-load episode.
 
     Minimizes the integral of the squared frequency/tie-flow penalty; ties
-    break toward the smallest Ki, then the smallest Kp.  Kd stays 0.
+    break toward the smallest Ki, then the smallest Kp.  Kd stays 0.  A
+    candidate whose episode destabilizes is skipped.
     """
-    from .harness import compute_metrics, run_episode  # local: avoids cycle
-    from .scenario import LoadEvent
-    import copy
-
     if kp_grid is None:
         kp_grid = np.logspace(-1.5, 0.5, 9)
     if ki_grid is None:
@@ -335,20 +339,37 @@ def tune_pid(scenario, kp_grid=None, ki_grid=None):
                                   start=5.0)]
     model = tuning.build_model()
 
+    # Candidates in Ki-major, then Kp order, the order ties break in.
+    ki, kp = (g.ravel() for g in np.meshgrid(
+        np.sort(ki_grid), np.sort(kp_grid), indexing="ij"))
+    costs = _pid_costs(tuning, model, kp, ki)
     best = None
-    for ki in sorted(ki_grid):
-        for kp in sorted(kp_grid):
-            gains = PidGains(kp=float(kp), ki=float(ki))
-            ctrl = PidController(model.beta, gains, tuning.control_period)
-            try:
-                traj = run_episode(tuning, ctrl, model=model)
-            except (InstabilityError, NumericError):
-                continue  # unstable candidate
-            cost = compute_metrics(traj, model).ise
-            if not np.isfinite(cost):
-                continue
-            if best is None or cost < best[0] - 1e-15:
-                best = (cost, gains)
+    for i, cost in enumerate(costs):
+        if np.isfinite(cost) and (best is None or cost < costs[best] - 1e-15):
+            best = i
     if best is None:
         raise TuningError("every PID candidate destabilized the tuning episode")
-    return best[1]
+    return PidGains(kp=float(kp[best]), ki=float(ki[best]))
+
+
+def _pid_costs(scenario, model, kp, ki):
+    """ISE of a PID with gains (kp[i], ki[i]) for each i, all advanced
+    together as one stack of episodes; nan for an episode that stopped with
+    an InstabilityError or NumericError.
+
+    Only the per-plant-step penalty of each episode is kept, not its states.
+    """
+    kp = np.asarray(kp, dtype=float)
+    ratio = scenario.steps_per_control
+    pen = np.zeros((len(kp), scenario.n_control_steps * ratio + 1))
+
+    def record(m, frame, cmd, applied, block):
+        pen[:, m * ratio + 1:(m + 1) * ratio + 1] = penalties(model, block)
+
+    gains = PidGains(kp=kp[:, None], ki=np.asarray(ki, dtype=float)[:, None])
+    ctrl = PidController(model.beta, gains, scenario.control_period)
+    t_grid, faults = _rollout(scenario, model, ctrl, record, batch=kp.shape)
+    # Row by row, as compute_metrics integrates one episode: a stacked
+    # trapezoid would hold several temporaries the size of `pen`.
+    return np.array([np.nan if fault is not None else np.trapezoid(row, t_grid)
+                     for row, fault in zip(pen, faults)])

@@ -248,22 +248,6 @@ class ReplayMemory:
 # TD targets and SGD training step
 # ---------------------------------------------------------------------------
 
-def td_target(transition, target_net, gamma):
-    """Bootstrapped target r + gamma * max_a' Q'(s', a'); r alone at terminal."""
-    if not 0.0 <= gamma < 1.0:
-        raise StructuralError("gamma must lie in [0, 1)")
-    if transition.terminal:
-        return transition.reward
-    return transition.reward + gamma * float(
-        np.max(target_net.forward(transition.next_state)))
-
-
-def td_error(transition, online_net, target_net, gamma):
-    """Target minus the online estimate Q(s, a)."""
-    q = float(online_net.forward(transition.state)[transition.action])
-    return td_target(transition, target_net, gamma) - q
-
-
 def batch_targets(target_net, rewards, next_states, terminals, gamma):
     boot = np.max(target_net.forward(next_states), axis=1)
     return rewards + gamma * np.where(terminals, 0.0, boot)

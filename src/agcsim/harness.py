@@ -5,7 +5,8 @@ measurement frame and issues per-area commands; the commands pass through
 the control-channel attack layer, are held for the whole period, and the
 plant integrates the TRUE state with RK4 at the plant step, one whole period
 per matrix product.  Rewards are recorded once per control step from the
-end-of-step true state.
+end-of-step true state.  One loop (_rollout) advances either one episode or
+a stack of episodes that share a scenario.
 """
 
 from dataclasses import dataclass, field
@@ -66,49 +67,30 @@ def run_episode(scenario, controller, model=None):
     if model is None:
         model = scenario.build_model()
     n = model.n_areas
-    dim = model.dim
-    h = scenario.plant_step
     ratio = scenario.steps_per_control
     n_ctrl = scenario.n_control_steps
     k_total = n_ctrl * ratio
 
-    controller.reset()
-    attacks = scenario.attacks
-    lift = model.period_map(h, ratio)
-
-    t_grid = np.arange(k_total + 1) * h
-    loads = scenario.load_vector(t_grid[:-1]).reshape(n_ctrl, ratio * n)
-    states = np.empty((k_total + 1, dim))
+    states = np.empty((k_total + 1, model.dim))
     states[0] = model.zero_state()
     seen_freq = np.empty((n_ctrl, n))
     seen_tie = np.empty((n_ctrl, n))
     u_cmd = np.empty((k_total + 1, n))
     u_applied = np.empty((k_total + 1, n))
 
-    for m in range(n_ctrl):
+    def record(m, frame, cmd, applied, block):
         k = m * ratio
-        t = t_grid[k]
-        frame = corrupt_measurements(measure(model, states[k], t), attacks, t)
         seen_freq[m] = frame.freq
         seen_tie[m] = frame.net_tie
-        cmd = np.asarray(controller.observe(frame), dtype=float)
-        if cmd.shape != (n,):
-            raise StructuralError(
-                f"controller returned shape {cmd.shape}, expected ({n},)")
-        if not np.isfinite(cmd).all():
-            raise InstabilityError(f"non-finite command at t={t:.3f}s", t=t)
-        applied = corrupt_control(cmd, attacks, t)
         u_cmd[k:k + ratio] = cmd
         u_applied[k:k + ratio] = applied
-
-        held = np.clip(applied, -model.p_c_max, model.p_c_max)
-        block = (lift @ np.concatenate([states[k], held, loads[m]])).reshape(
-            ratio, dim)
-        if not np.abs(block).max() <= DIVERGENCE_LIMIT:
-            _raise_divergence(block, t_grid, k, h)
         states[k + 1:k + ratio + 1] = block
-    u_cmd[k_total] = cmd
-    u_applied[k_total] = applied
+
+    t_grid, (fault,) = _rollout(scenario, model, controller, record)
+    if fault is not None:
+        raise fault
+    u_cmd[k_total] = u_cmd[k_total - 1]
+    u_applied[k_total] = u_applied[k_total - 1]
 
     # What the sensors reported at every plant step, through the same attack
     # arithmetic the controller's frames went through.  On grids of four or
@@ -117,7 +99,7 @@ def run_episode(scenario, controller, model=None):
     # written back exactly.
     reported = corrupt_measurements(
         MeasurementFrame(model.freq(states), model.net_tie(states), t_grid),
-        attacks, t_grid)
+        scenario.attacks, t_grid)
     meas_freq, meas_tie = reported.freq, reported.net_tie
     meas_freq[:k_total:ratio] = seen_freq
     meas_tie[:k_total:ratio] = seen_tie
@@ -126,17 +108,99 @@ def run_episode(scenario, controller, model=None):
     # once (with the same last-bit caveat as above on four or more areas).
     rewards = -scenario.control_period * penalties(model, states[ratio::ratio])
     return Trajectory(t_grid, states, meas_freq, meas_tie, u_cmd, u_applied,
-                      rewards, h, scenario.control_period)
+                      rewards, scenario.plant_step, scenario.control_period)
 
 
-def _raise_divergence(block, t_grid, k, h):
-    """Report the first plant step of a period block that left the limit."""
-    peak = np.max(np.abs(block), axis=1)
+def _rollout(scenario, model, controller, record, batch=()):
+    """Advance a stack of closed-loop episodes of one scenario together.
+
+    The stack has leading shape `batch`: () for one episode, whose
+    controller sees single frames, or (B,) for B episodes, whose controller
+    holds one row of state per episode and maps a frame of (B, n) arrays to
+    (B, n) commands.  Each control period takes one stacked measurement, one
+    controller.observe, and one matrix product through model.period_map for
+    the whole stack, then calls
+
+        record(m, frame, cmd, applied, block)
+
+    with the period index m, the frame the controller saw, its command, the
+    command after the control-channel attacks (before saturation), and the
+    batch + (steps, dim) states of the period's plant steps.
+
+    An episode whose command is non-finite or whose state leaves
+    DIVERGENCE_LIMIT is frozen at the zero state from then on, so it cannot
+    overflow, and the others run on; the loop ends once every episode has
+    stopped.  Returns (t_grid, faults): the plant-step times and, per
+    episode in row-major order, None or the InstabilityError/NumericError
+    it stopped with (not raised).
+    """
+    n, dim = model.n_areas, model.dim
+    h = scenario.plant_step
+    ratio = scenario.steps_per_control
+    n_ctrl = scenario.n_control_steps
+    t_grid = np.arange(n_ctrl * ratio + 1) * h
+    attacks = scenario.attacks
+
+    # Columns of the period map that act on [state, command]; the load
+    # columns are applied to every period's loads at once, shared by the
+    # whole stack.
+    lift = model.period_map(h, ratio)
+    act = lift[:, :dim + n].T
+    loads = scenario.load_vector(t_grid[:-1]).reshape(n_ctrl, ratio * n)
+    drive = loads @ lift[:, dim + n:].T
+
+    controller.reset()
+    z = np.zeros(batch + (dim,))
+    alive = np.ones(int(np.prod(batch)), dtype=bool)
+    faults = [None] * alive.size
+    stopped = False
+    for m in range(n_ctrl):
+        k = m * ratio
+        t = t_grid[k]
+        frame = corrupt_measurements(measure(model, z, t), attacks, t)
+        cmd = np.asarray(controller.observe(frame), dtype=float)
+        if cmd.shape != frame.freq.shape:
+            raise StructuralError(f"controller returned shape {cmd.shape}, "
+                                  f"expected {frame.freq.shape}")
+        applied = corrupt_control(cmd, attacks, t)
+        held = np.clip(applied, -model.p_c_max, model.p_c_max)
+        block = (np.concatenate([z, held], axis=-1) @ act + drive[m]).reshape(
+            batch + (ratio, dim))
+        if stopped or not (np.isfinite(cmd).all()
+                           and np.abs(block).max() <= DIVERGENCE_LIMIT):
+            _stop_failed_rows(cmd, block, alive, faults, t_grid, k, h)
+            stopped = True
+        record(m, frame, cmd, applied, block)
+        if stopped and not alive.any():
+            break
+        z = block[..., -1, :]
+    return t_grid, faults
+
+
+def _stop_failed_rows(cmd, block, alive, faults, t_grid, k, h):
+    """Record the error of each live episode that failed in this period and
+    freeze every stopped episode's states at zero."""
+    rows = block.reshape(alive.size, *block.shape[-2:])
+    bad_cmd = ~np.isfinite(cmd).reshape(alive.size, -1).all(axis=1)
+    peaks = np.max(np.abs(rows), axis=2)
+    failed = alive & (bad_cmd | ~(peaks <= DIVERGENCE_LIMIT).all(axis=1))
+    for i in np.flatnonzero(failed):
+        faults[i] = _fault(bad_cmd[i], peaks[i], t_grid, k, h)
+    alive &= ~failed
+    rows[~alive] = 0.0
+
+
+def _fault(bad_cmd, peak, t_grid, k, h):
+    """The error of an episode whose period starting at plant step k
+    failed; for a state past the limit, at its first such plant step."""
+    if bad_cmd:
+        t = t_grid[k]
+        return InstabilityError(f"non-finite command at t={t:.3f}s", t=t)
     j = int(np.argmax(~(peak <= DIVERGENCE_LIMIT)))
     if not np.isfinite(peak[j]):
-        raise NumericError(f"non-finite state after RK4 step of h={h}")
+        return NumericError(f"non-finite state after RK4 step of h={h}")
     t = t_grid[k + j] + h
-    raise InstabilityError(
+    return InstabilityError(
         f"state exceeded {DIVERGENCE_LIMIT} p.u. at t={t:.3f}s", t=t)
 
 
@@ -251,21 +315,26 @@ def read_trajectory_csv(path, model):
             header = fh.readline()
             if not header.startswith("# agcsim-trajectory"):
                 raise StructuralError(f"{path}: not a trajectory file")
-            meta = dict(tok.split("=", 1) for tok in header.split()[2:])
-            h = float(meta["plant_step"])
-            dt = float(meta["control_period"])
+            try:
+                meta = dict(tok.split("=", 1) for tok in header.split()[2:])
+                h = float(meta["plant_step"])
+                dt = float(meta["control_period"])
+            except (KeyError, ValueError):
+                raise StructuralError(
+                    f"{path}: line 1: bad trajectory header") from None
             names = fh.readline().rstrip("\n").split(",")
             expected = _columns(model.n_areas, model.pairs)
             if names != expected:
                 raise StructuralError(f"{path}: column mismatch")
-            data = np.array([[float(v) for v in line.rstrip("\n").split(",")]
-                             for line in fh if line.strip()])
+            rows = []
+            for lineno, line in enumerate(fh, start=3):
+                if line.strip():
+                    rows.append(_data_row(line, len(expected), path, lineno))
     except OSError as exc:
         raise OSError(f"cannot read trajectory from {path}: {exc}") from exc
     n, p = model.n_areas, model.n_pairs
     ratio = round(dt / h)
-    if data.size == 0:
-        data = data.reshape(0, len(expected))
+    data = np.array(rows).reshape(len(rows), len(expected))
     t = data[:, 0]
     ofs = 1
     states = data[:, ofs:ofs + 3 * n + p]; ofs += 3 * n + p
@@ -279,12 +348,18 @@ def read_trajectory_csv(path, model):
     return Trajectory(t, states, mf, mt, uc, ua, rewards, h, dt)
 
 
-def empty_trajectory(model, plant_step=0.01, control_period=0.1):
-    n = model.n_areas
-    return Trajectory(np.empty(0), np.empty((0, model.dim)),
-                      np.empty((0, n)), np.empty((0, n)),
-                      np.empty((0, n)), np.empty((0, n)),
-                      np.empty(0), plant_step, control_period)
+def _data_row(line, width, path, lineno):
+    """The numbers of one data line; a StructuralError at the line when it
+    does not hold exactly `width` of them (a file cut mid-row, say)."""
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != width:
+        raise StructuralError(f"{path}: line {lineno}: {len(fields)} fields, "
+                              f"expected {width}")
+    try:
+        return [float(v) for v in fields]
+    except ValueError:
+        raise StructuralError(
+            f"{path}: line {lineno}: not a number in the row") from None
 
 
 # ---------------------------------------------------------------------------

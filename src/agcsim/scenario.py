@@ -6,7 +6,7 @@ Format (key = value lines, # comments, [section] blocks), version 1:
     horizon = 60.0          # seconds, integer multiple of control_period
     plant_step = 0.01       # RK4 step h, seconds
     control_period = 0.1    # controller rate, integer multiple of plant_step
-    seed = 0
+    seed = 0                # default seed of `agcsim train`
     command_limit = 0.5     # plant-side saturation, p.u.
 
     [area 1]                # 1-based, contiguous; omit for the default

@@ -20,13 +20,14 @@ from agcsim.controllers import (PidController, PidGains, dare_residual,
                                 default_weights, mpc_step, solve_dare,
                                 tune_pid, zoh_discretize)
 from agcsim.dqn import (ActionTable, DqnController, HyperParams, QNetwork,
-                        Transition, loss_and_grads, select_action, td_target,
-                        train, train_step)
+                        Transition, loss_and_grads, select_action, train,
+                        train_step)
 from agcsim.dynamics import two_area_benchmark
 from agcsim.errors import InstabilityError
 from agcsim.harness import (compute_metrics, control_reward, run_episode,
                             write_comparison_csv)
 from agcsim.scenario import load_scenario
+from tests.test_dqn import td_target
 from tests.test_scenario import SCENARIO_DIR
 
 # Training setup used for the resilience checks; chosen by a calibration
@@ -156,6 +157,7 @@ def test_c3_pid_offset_under_sensor_bias(pid_metrics_under_attack):
 # 4. Trained DQN at desk scale beats the PID baseline under the same attack
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_c4_dqn_resilience(scenario_a, trained_dqn, pid_metrics_under_attack):
     model = scenario_a.build_model()
     traj = run_episode(scenario_a, trained_dqn["controller"], model=model)
@@ -292,6 +294,7 @@ def test_c6_determinism(tmp_path):
 # 7. Remaining attack scenarios run clean; learned policy beats doing nothing
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_c7_scenarios_b_c(trained_dqn, tmp_path):
     for name in ("scenario_b", "scenario_c"):
         scenario = load_scenario(SCENARIO_DIR / f"{name}.txt")

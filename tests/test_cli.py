@@ -157,6 +157,17 @@ class TestTrainCli:
         assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == \
             self.TRAIN_A_SHA256
 
+    def test_seed_defaults_to_scenario_seed(self, tmp_path, capsys):
+        sc = tmp_path / "sc.txt"
+        sc.write_text("horizon = 1.0\nseed = 3\n")
+        c1, c2, c3 = (tmp_path / f"{name}.ckpt" for name in "abc")
+        for extra, ckpt in (([], c1), (["--seed", "3"], c2),
+                            (["--seed", "0"], c3)):
+            assert main(["train", str(sc), "--episodes", "2",
+                         "--checkpoint", str(ckpt), *extra]) == 0
+        assert c1.read_bytes() == c2.read_bytes()
+        assert c1.read_bytes() != c3.read_bytes()
+
     def test_train_determinism(self, tmp_path, capsys):
         sc = tmp_path / "sc.txt"
         sc.write_text("horizon = 1.0\n")

@@ -3,16 +3,19 @@ MPC/LQR equivalence, and the PID tuner."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from agcsim.attacks import MeasurementFrame
+from agcsim import controllers
+from agcsim.attacks import (ATTACK_KINDS, CHANNELS, AttackSignal,
+                            InjectionPoint, MeasurementFrame)
 from agcsim.controllers import (LqrController, MpcController, PidController,
                                 PidGains, StateEstimator, ZeroController,
                                 dare_residual, default_weights, mpc_gain,
                                 mpc_step, solve_dare, tune_pid, zoh_discretize)
 from agcsim.dynamics import (AreaParams, LfcModel, TieTopology,
                              two_area_benchmark)
-from agcsim.errors import InstabilityError, StructuralError
-from agcsim.harness import run_episode
+from agcsim.errors import InstabilityError, NumericError, StructuralError
+from agcsim.harness import compute_metrics, run_episode
 from agcsim.scenario import LoadEvent, Scenario
 
 
@@ -292,3 +295,71 @@ class TestTunePid:
         sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 5.0)], horizon=5.0)
         with pytest.raises(ValueError, match="bug in the controller"):
             tune_pid(sc, kp_grid=[0.3], ki_grid=[0.3])
+
+    @pytest.mark.parametrize("costs, want", [
+        ([1.0, 1.0, 1.0, 1.0], (0.3, 0.1)),
+        # Smallest Ki first, then smallest Kp; costs within 1e-15 tie.
+        ([np.nan, 1.0, 1.0 - 5e-16, 1.0], (0.4, 0.1)),
+        ([1.0, 1.0, 1.0 - 2e-15, 1.0], (0.3, 0.2)),
+    ])
+    def test_ties_break_to_smallest_ki_then_kp(self, monkeypatch, costs,
+                                               want):
+        order = []
+
+        def fixed_costs(scenario, model, kp, ki):
+            order.extend(zip(ki, kp))
+            return np.array(costs)
+
+        monkeypatch.setattr(controllers, "_pid_costs", fixed_costs)
+        sc = Scenario(horizon=5.0)
+        g = tune_pid(sc, kp_grid=[0.4, 0.3], ki_grid=[0.2, 0.1])
+        assert order == [(0.1, 0.3), (0.1, 0.4), (0.2, 0.3), (0.2, 0.4)]
+        assert (g.kp, g.ki) == want
+
+    def test_equal_costs_on_a_real_episode(self):
+        # A load that starts after the horizon leaves every cost at 0.
+        sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 50.0)], horizon=5.0)
+        g = tune_pid(sc, kp_grid=[0.5, 0.2], ki_grid=[0.4, 0.1])
+        assert (g.kp, g.ki) == (0.2, 0.1)
+
+
+@st.composite
+def attack_signals(draw):
+    kind = draw(st.sampled_from(ATTACK_KINDS))
+    limit = 0.003 if kind == "ramp" else 0.02   # p.u./s or p.u.
+    return AttackSignal(
+        kind, draw(st.floats(-limit, limit)), draw(st.floats(0.0, 8.0)),
+        InjectionPoint(draw(st.sampled_from(CHANNELS)),
+                       draw(st.integers(0, 1))),
+        duration=draw(st.floats(0.5, 4.0)) if kind == "pulse" else 0.0)
+
+
+class TestBatchedCosts:
+    """Every candidate of the stacked tuning rollout against a lone
+    run_episode of the same gains."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(gains=st.lists(st.tuples(st.floats(-2.0, 1.5),
+                                    st.floats(-2.0, 1.5)),
+                          min_size=1, max_size=6),
+           attacks=st.lists(attack_signals(), max_size=2))
+    @example(gains=[(np.log10(0.3), np.log10(0.3)), (4.0, np.log10(0.3))],
+             attacks=[])
+    def test_rows_equal_lone_episodes(self, gains, attacks):
+        # With a high command limit about half of these gains diverge
+        # within the horizon.
+        sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 1.0)],
+                      attacks=attacks, horizon=10.0, command_limit=50.0)
+        m = sc.build_model()
+        kp, ki = 10.0 ** np.array(gains).T
+        costs = controllers._pid_costs(sc, m, kp, ki)
+        for i, cost in enumerate(costs):
+            ctrl = PidController(m.beta, PidGains(kp=kp[i], ki=ki[i]),
+                                 sc.control_period)
+            try:
+                traj = run_episode(sc, ctrl, model=m)
+            except (InstabilityError, NumericError):
+                assert np.isnan(cost), (kp[i], ki[i])
+                continue
+            ise = compute_metrics(traj, m).ise
+            assert abs(cost - ise) <= 1e-12 * ise, (kp[i], ki[i])

@@ -8,13 +8,29 @@ from agcsim.dqn import (ActionTable, DqnController, HyperParams, QNetwork,
                         ReplayMemory, Transition, batch_targets,
                         load_checkpoint, loss_and_grads, observation,
                         save_checkpoint, select_action, sync_target,
-                        td_error, td_target, train, train_step,
-                        write_training_log)
+                        train, train_step, write_training_log)
 from agcsim.errors import StructuralError
 from agcsim.harness import control_reward, step_penalty
 from agcsim.dynamics import AreaParams, LfcModel, TieTopology, \
     two_area_benchmark
 from agcsim.scenario import Scenario
+
+
+def td_target(transition, target_net, gamma):
+    """Oracle: r + gamma * max_a' Q'(s', a') for one transition; r alone at
+    terminal."""
+    if not 0.0 <= gamma < 1.0:
+        raise StructuralError("gamma must lie in [0, 1)")
+    if transition.terminal:
+        return transition.reward
+    return transition.reward + gamma * float(
+        np.max(target_net.forward(transition.next_state)))
+
+
+def td_error(transition, online_net, target_net, gamma):
+    """Oracle: td_target minus the online estimate Q(s, a)."""
+    q = float(online_net.forward(transition.state)[transition.action])
+    return td_target(transition, target_net, gamma) - q
 
 
 def small_net(seed=0, sizes=(4, 8, 5)):

@@ -11,14 +11,23 @@ from agcsim.controllers import PidController, PidGains, ZeroController
 from agcsim.dynamics import AreaParams
 from agcsim.errors import InstabilityError, NumericError, StructuralError
 from agcsim.factory import build_controller
-from agcsim.harness import (Trajectory, compare, compute_metrics,
-                            control_reward, empty_trajectory,
-                            format_comparison, read_trajectory_csv,
-                            run_episode, write_comparison_csv,
-                            write_trajectory_csv)
+from agcsim.cli import main
+from agcsim.harness import (Trajectory, _rollout, compare, compute_metrics,
+                            control_reward, format_comparison,
+                            read_trajectory_csv, run_episode,
+                            write_comparison_csv, write_trajectory_csv)
 from agcsim.scenario import LoadEvent, Scenario, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def empty_trajectory(model, plant_step=0.01, control_period=0.1):
+    """A trajectory with no rows."""
+    n = model.n_areas
+    return Trajectory(np.empty(0), np.empty((0, model.dim)),
+                      np.empty((0, n)), np.empty((0, n)),
+                      np.empty((0, n)), np.empty((0, n)),
+                      np.empty(0), plant_step, control_period)
 
 
 def freq_attack(area=1, magnitude=0.01, start=5.0):
@@ -208,6 +217,31 @@ class TestAgainstReferenceLoop:
             run_episode(sc, ZeroController(2), model=m)
 
 
+class TestRollout:
+    def test_stopped_row_frozen_at_zero_with_lone_error(self):
+        sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 5.0)], horizon=30.0,
+                      command_limit=50.0)
+        m = sc.build_model()
+        gains = PidGains(kp=np.array([[0.3], [1e4]]), ki=0.3)
+        blocks = []
+        t_grid, faults = _rollout(
+            sc, m, PidController(m.beta, gains, sc.control_period),
+            lambda *period: blocks.append(period[-1].copy()),
+            batch=(2,))
+        with pytest.raises(InstabilityError) as lone:
+            run_episode(sc, PidController(m.beta, PidGains(kp=1e4, ki=0.3),
+                                          sc.control_period), model=m)
+        assert faults[0] is None
+        assert type(faults[1]) is InstabilityError
+        assert str(faults[1]) == str(lone.value)
+        assert faults[1].t == lone.value.t
+        stop = int(lone.value.t / sc.control_period - 1e-9)
+        assert len(blocks) == sc.n_control_steps
+        assert np.any(blocks[stop - 1][1] != 0)
+        assert all(np.all(b[1] == 0) for b in blocks[stop:])
+        assert all(np.any(b[0] != 0) for b in blocks[stop:])
+
+
 class TestRecordedMeasurements:
     """The per-plant-step measurement record is computed once per episode;
     it must hold what corrupt_measurements gives for each row."""
@@ -330,6 +364,29 @@ class TestTrajectoryCsv:
         write_trajectory_csv(empty_trajectory(m), path, m)
         lines = path.read_text().splitlines()
         assert len(lines) == 2  # metadata + header row
+
+    @pytest.mark.parametrize("cut", ["mid_row", "long_row", "bad_number",
+                                     "bad_header"])
+    def test_damaged_file_names_path_and_line(self, tmp_path, capsys, cut):
+        path = tmp_path / "traj.csv"
+        assert main(["simulate", str(SCENARIO_DIR / "scenario_a.txt"),
+                     "--out", str(path)]) == 0
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        if cut == "mid_row":   # the file ends halfway through its last row
+            damaged = text[:len(text) - len(lines[-1]) // 2]
+        elif cut == "long_row":
+            damaged = "".join(lines[:5]) + lines[5].rstrip("\n") + ",0.0\n"
+        elif cut == "bad_number":
+            damaged = "".join(lines[:5]) + lines[5].replace(",", ",x", 1)
+        else:
+            damaged = text.replace("plant_step=", "plant_step", 1)
+        path.write_text(damaged)
+        line = {"mid_row": len(lines), "bad_header": 1}.get(cut, 6)
+        m = load_scenario(SCENARIO_DIR / "scenario_a.txt").build_model()
+        with pytest.raises(StructuralError, match=f"line {line}:") as err:
+            read_trajectory_csv(path, m)
+        assert str(path) in str(err.value)
 
     def test_write_error_carries_path(self):
         traj, m = self._random_traj()
