@@ -115,7 +115,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a DQN controller")
     p.add_argument("scenario", help="base scenario defining grid and timing")
-    p.add_argument("--episodes", type=int, default=300)
+    p.add_argument("--episodes", type=int, default=500)
     p.add_argument("--seed", type=int,
                    help="training seed (default: the scenario's seed)")
     p.add_argument("--checkpoint", required=True)

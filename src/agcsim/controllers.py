@@ -269,13 +269,10 @@ class StateEstimator:
 class LqrController:
     """Discrete LQR u = -K x on the reconstructed measured state."""
 
-    def __init__(self, model, period, Q=None, R=None):
-        if Q is None or R is None:
-            dQ, dR = default_weights(model)
-            Q = dQ if Q is None else Q
-            R = dR if R is None else R
+    def __init__(self, model, period, Q, R):
         A, B = model.assemble_linear_model()
         self.Ad, self.Bd = zoh_discretize(A, B, period)
+        self.Q, self.R = Q, R
         self.P, self.K = solve_dare(self.Ad, self.Bd, Q, R)
         self._est = StateEstimator(model, period)
 
@@ -289,31 +286,22 @@ class LqrController:
         return u
 
 
-class MpcController:
-    """Receding-horizon unconstrained MPC with Riccati terminal cost."""
+class MpcController(LqrController):
+    """Receding-horizon unconstrained MPC with Riccati terminal cost.
 
-    def __init__(self, model, period, Q=None, R=None, horizon=20):
-        if Q is None or R is None:
-            dQ, dR = default_weights(model)
-            Q = dQ if Q is None else Q
-            R = dR if R is None else R
-        A, B = model.assemble_linear_model()
-        self.Ad, self.Bd = zoh_discretize(A, B, period)
-        self.Q, self.R = Q, R
+    Its first move is linear in the state, so it is the LQR loop with K
+    replaced by the finite-horizon gain of mpc_gain.
+    """
+
+    def __init__(self, model, period, Q, R, horizon=20):
+        super().__init__(model, period, Q, R)
         self.horizon = horizon
-        # The unconstrained first move is linear in the state: u = -gain x.
-        self.P, _ = solve_dare(self.Ad, self.Bd, Q, R)
-        self._gain = mpc_gain(self.Ad, self.Bd, Q, R, self.P, horizon)
-        self._est = StateEstimator(model, period)
+        self.K = mpc_gain(self.Ad, self.Bd, Q, R, self.P, horizon)
 
-    def reset(self):
-        self._est.reset()
-
-    def observe(self, frame):
-        x = self._est.estimate(frame)
-        u = -self._gain @ x
-        self._est.advance(frame, u)
-        return u
+    # Bound here as well, not only inherited: per-class instrumentation
+    # (perfbench/tracer.py) wraps each controller class's own observe.
+    reset = LqrController.reset
+    observe = LqrController.observe
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ hard-synced target network.  Everything is driven by one seeded generator,
 so a run is bit-reproducible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,8 @@ class QNetwork:
         if x.shape[1] != self.in_dim:
             raise StructuralError(
                 f"input dim {x.shape[1]}, network expects {self.in_dim}")
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.maximum(x @ w + b, 0.0)
-        x = x @ self.weights[-1] + self.biases[-1]
-        return x[0] if single else x
+        _, out = self._forward_cached(x)
+        return out[0] if single else out
 
     def _forward_cached(self, x):
         """Forward pass keeping post-activation layer inputs for backprop."""
@@ -139,7 +137,7 @@ def sync_target(online, target):
 
 
 # ---------------------------------------------------------------------------
-# Actions, transitions, replay
+# Actions and replay
 # ---------------------------------------------------------------------------
 
 class ActionTable:
@@ -149,7 +147,7 @@ class ActionTable:
     joint actions are their Cartesian product (mixed-radix indexing).
     """
 
-    def __init__(self, n_areas, levels=7, span=0.1):
+    def __init__(self, n_areas, levels, span):
         if n_areas < 1 or levels < 2 or span <= 0:
             raise StructuralError("bad action table configuration")
         self.n_areas = n_areas
@@ -186,21 +184,6 @@ def select_action(q_values, epsilon, rng=None):
     return int(np.argmax(q_values))
 
 
-@dataclass
-class Transition:
-    """One replayed experience (s, a, r, s', terminal)."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-    def __post_init__(self):
-        if not np.isfinite(self.reward):
-            raise StructuralError("reward must be finite")
-
-
 class ReplayMemory:
     """Ring buffer of transitions with a uniform (with-replacement) sampler."""
 
@@ -219,17 +202,20 @@ class ReplayMemory:
     def __len__(self):
         return self._size
 
-    def push(self, tr):
+    def push(self, state, action, reward, next_state, terminal):
+        """Store one experience (s, a, r, s', terminal)."""
+        if not np.isfinite(reward):
+            raise StructuralError("reward must be finite")
         if self._s is None:
-            dim = len(tr.state)
+            dim = len(state)
             self._s = np.empty((self.capacity, dim))
             self._s2 = np.empty((self.capacity, dim))
         p = self._pos
-        self._s[p] = tr.state
-        self._a[p] = tr.action
-        self._r[p] = tr.reward
-        self._s2[p] = tr.next_state
-        self._term[p] = tr.terminal
+        self._s[p] = state
+        self._a[p] = action
+        self._r[p] = reward
+        self._s2[p] = next_state
+        self._term[p] = terminal
         self._pos = (p + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -254,18 +240,12 @@ def batch_targets(target_net, rewards, next_states, terminals, gamma):
 
 
 def train_step(online_net, target_net, batch, lr, gamma, max_grad_norm=None):
-    """One SGD update on the mean squared TD error; returns pre-update loss."""
-    if isinstance(batch, (list, tuple)) and len(batch) == 0:
-        raise StructuralError("empty batch")
-    if isinstance(batch, (list, tuple)) and \
-            isinstance(batch[0], Transition):
-        states = np.stack([tr.state for tr in batch])
-        actions = np.array([tr.action for tr in batch], dtype=int)
-        rewards = np.array([tr.reward for tr in batch])
-        next_states = np.stack([tr.next_state for tr in batch])
-        terminals = np.array([tr.terminal for tr in batch], dtype=bool)
-    else:
-        states, actions, rewards, next_states, terminals = batch
+    """One SGD update on the mean squared TD error; returns pre-update loss.
+
+    `batch` is the (states, actions, rewards, next_states, terminals) arrays
+    that ReplayMemory.sample returns.
+    """
+    states, actions, rewards, next_states, terminals = batch
     if len(actions) == 0:
         raise StructuralError("empty batch")
     targets = batch_targets(target_net, rewards, next_states, terminals, gamma)
@@ -283,21 +263,22 @@ def train_step(online_net, target_net, batch, lr, gamma, max_grad_norm=None):
 
 @dataclass
 class HyperParams:
-    """Training configuration; defaults are the package's desk-scale setup."""
+    """Training configuration; the defaults are the configuration that the
+    acceptance gate trains and checks (500 episodes, seed 0)."""
 
     gamma: float = 0.99
     eps_start: float = 1.0
     eps_end: float = 0.05
     eps_decay_fraction: float = 0.5   # fraction of total steps to decay over
-    learning_rate: float = 1e-3
+    learning_rate: float = 5e-3
     batch_size: int = 64
     sync_period: int = 500            # target-net hard sync, in updates
     capacity: int = 100_000
     hidden: tuple = (64, 64)
-    levels: int = 7
-    span: float = 0.1
-    reward_scale: float = 1.0         # replay-side conditioning factor
-    obs_scale: float = 1.0            # input feature scaling (p.u. are tiny)
+    levels: int = 5
+    span: float = 0.02
+    reward_scale: float = 1e3         # replay-side conditioning factor
+    obs_scale: float = 100.0          # input feature scaling (p.u. are tiny)
     max_grad_norm: float = 10.0       # global gradient-norm clip; None = off
 
     def __post_init__(self):
@@ -356,7 +337,7 @@ def _draw_episode_events(scenario, rng):
     return loads, attacks
 
 
-def train(scenario, hyper=None, episodes=300, seed=0):
+def train(scenario, hyper=None, episodes=500, seed=0):
     """Train a DQN against the scenario's grid with randomized episodes.
 
     Each episode draws a random step load and, with probability 1/2, a
@@ -413,8 +394,8 @@ def train(scenario, hyper=None, episodes=300, seed=0):
                                          attacks, t_next)
             next_obs = observation(frame, hyper.obs_scale)
             terminal = step == n_ctrl - 1
-            memory.push(Transition(obs, action, r * hyper.reward_scale,
-                                   next_obs, terminal))
+            memory.push(obs, action, r * hyper.reward_scale, next_obs,
+                        terminal)
             ep_return += r
             obs = next_obs
             global_step += 1

@@ -271,46 +271,60 @@ class LfcModel:
             L[i, i] = 1.0 / area.inertia
         return L
 
-    def period_map(self, h, steps):
-        """Exact lifted map of `steps` RK4 steps of size h (one control period).
-
-        The plant is linear and its inputs are held over each step, so one
-        RK4 step is exactly x+ = M x + N g with g = B p_c - L p_load,
-        M = sum_{j<=4} (hA)^j / j! and N = h sum_{j<=3} (hA)^j / (j+1)!.
-        Stacking `steps` of them gives
-
-            X = G @ concat(x_k, p_c, p_load_k, ..., p_load_{k+steps-1})
-
-        where X, reshaped to (steps, dim), holds x_{k+1} .. x_{k+steps}, the
-        command p_c (already saturated) is held for the whole period and each
-        step keeps its own load.  G has shape
-        (steps*dim, dim + n + steps*n).
-        """
+    def _rk4_map(self, h):
+        """(M, N) of one RK4 step, x+ = M x + N g, for an input g = B p_c -
+        L p_load held over the step: the plant is linear, so
+        M = sum_{j<=4} (hA)^j / j! and N = h sum_{j<=3} (hA)^j / (j+1)!."""
         if h <= 0:
             raise StructuralError("step size must be positive")
-        A, B = self.assemble_linear_model()
-        dim, n = self.dim, self.n_areas
-        eye = np.eye(dim)
+        A, _ = self.assemble_linear_model()
+        eye = np.eye(self.dim)
         hA = h * A
         N = h * (eye + hA / 2.0 @ (eye + hA / 3.0 @ (eye + hA / 4.0)))
-        M = eye + A @ N
-        NB = N @ B
-        NL = -N @ self.load_gain()
+        return eye + A @ N, N
 
-        powers = [eye]                    # M^0 .. M^steps
-        for _ in range(steps):
-            powers.append(M @ powers[-1])
-        load_terms = [P @ NL for P in powers[:steps]]
-        G = np.zeros((steps, dim, dim + n + steps * n))
-        drive = np.zeros((dim, n))        # sum_{i<j} M^i N B
-        for j in range(1, steps + 1):
-            G[j - 1, :, :dim] = powers[j]
-            drive = drive + powers[j - 1] @ NB
-            G[j - 1, :, dim:dim + n] = drive
-            for i in range(j):
-                col = dim + n + i * n
-                G[j - 1, :, col:col + n] = load_terms[j - 1 - i]
-        return G.reshape(steps * dim, -1)
+    def period_map(self, h, steps):
+        """Exact map of `steps` RK4 steps of size h (one control period)
+        from the start state and the held command.
+
+        X = G @ concat(x_k, p_c), with X reshaped to (steps, dim) holding
+        x_{k+1} .. x_{k+steps} of a load-free plant and the command p_c
+        (already saturated) held for the whole period; G, of shape
+        (steps*dim, dim + n), stacks the powers 1 .. steps of the one-step
+        map [[M, N B], [0, I]] of [state, command].  load_response() gives
+        what the loads add.
+        """
+        M, N = self._rk4_map(h)
+        _, B = self.assemble_linear_model()
+        dim, n = self.dim, self.n_areas
+        step = np.eye(dim + n)
+        step[:dim, :dim] = M
+        step[:dim, dim:] = N @ B
+        G = np.empty((steps, dim, dim + n))
+        power = np.eye(dim + n)
+        for j in range(steps):
+            power = step @ power
+            G[j] = power[:dim]
+        return G.reshape(steps * dim, dim + n)
+
+    def load_response(self, h, loads):
+        """States that per-step loads alone drive through RK4 steps of size
+        h from the zero state under a zero command.
+
+        `loads` has shape (..., steps, n), one load per plant step; the
+        result, (..., steps, dim), holds the states after each step.  Every
+        leading index (a control period, say) starts from zero, and all of
+        them advance together through one `steps`-long recursion.
+        """
+        M, N = self._rk4_map(h)
+        drive = -N @ self.load_gain()
+        loads = np.asarray(loads, dtype=float)
+        out = np.empty(loads.shape[:-1] + (self.dim,))
+        z = np.zeros(loads.shape[:-2] + (self.dim,))
+        for j in range(loads.shape[-2]):
+            z = z @ M.T + loads[..., j, :] @ drive.T
+            out[..., j, :] = z
+        return out
 
     def inputs(self, p_c, p_load):
         """Build PlantInputs with this plant's saturation limit applied."""

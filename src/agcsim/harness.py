@@ -61,8 +61,9 @@ def run_episode(scenario, controller, model=None):
     """Run one closed-loop episode; deterministic given the scenario.
 
     Each control period the controller sees one measurement frame and the
-    plant advances the whole period at once through model.period_map, the
-    exact map of the period's RK4 steps.
+    plant advances the whole period at once: model.period_map, the exact
+    map of the period's RK4 steps from [state, command], plus the
+    precomputed model.load_response of the period's loads.
     """
     if model is None:
         model = scenario.build_model()
@@ -119,7 +120,7 @@ def _rollout(scenario, model, controller, record, batch=()):
     holds one row of state per episode and maps a frame of (B, n) arrays to
     (B, n) commands.  Each control period takes one stacked measurement, one
     controller.observe, and one matrix product through model.period_map for
-    the whole stack, then calls
+    the whole stack, plus the period's model.load_response, then calls
 
         record(m, frame, cmd, applied, block)
 
@@ -141,13 +142,11 @@ def _rollout(scenario, model, controller, record, batch=()):
     t_grid = np.arange(n_ctrl * ratio + 1) * h
     attacks = scenario.attacks
 
-    # Columns of the period map that act on [state, command]; the load
-    # columns are applied to every period's loads at once, shared by the
-    # whole stack.
-    lift = model.period_map(h, ratio)
-    act = lift[:, :dim + n].T
-    loads = scenario.load_vector(t_grid[:-1]).reshape(n_ctrl, ratio * n)
-    drive = loads @ lift[:, dim + n:].T
+    # The map of [state, command] over one period, and what every period's
+    # loads add to it, shared by the whole stack.
+    act = model.period_map(h, ratio).T
+    loads = scenario.load_vector(t_grid[:-1]).reshape(n_ctrl, ratio, n)
+    drive = model.load_response(h, loads).reshape(n_ctrl, ratio * dim)
 
     controller.reset()
     z = np.zeros(batch + (dim,))

@@ -20,14 +20,13 @@ from agcsim.controllers import (PidController, PidGains, dare_residual,
                                 default_weights, mpc_step, solve_dare,
                                 tune_pid, zoh_discretize)
 from agcsim.dqn import (ActionTable, DqnController, HyperParams, QNetwork,
-                        Transition, loss_and_grads, select_action, train,
-                        train_step)
+                        loss_and_grads, select_action, train, train_step)
 from agcsim.dynamics import two_area_benchmark
 from agcsim.errors import InstabilityError
 from agcsim.harness import (compute_metrics, control_reward, run_episode,
                             write_comparison_csv)
 from agcsim.scenario import load_scenario
-from tests.test_dqn import td_target
+from tests.test_dqn import Transition, batch_of, td_target
 from tests.test_scenario import SCENARIO_DIR
 
 # Training setup used for the resilience checks; chosen by a calibration
@@ -76,6 +75,11 @@ def trained_dqn(scenario_a):
                         span=ACCEPT_HYPER.span)
     ctrl = DqnController(net, table, ACCEPT_HYPER.obs_scale)
     return {"net": net, "log": log, "controller": ctrl, "wall": wall}
+
+
+def test_default_hyper_is_the_gated_configuration():
+    # `agcsim train` trains with HyperParams(); the gate checks ACCEPT_HYPER.
+    assert HyperParams() == ACCEPT_HYPER
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +205,7 @@ def test_c5_equation_level_suite():
 
     # Zero learning rate must leave the parameters untouched.
     before = [w.copy() for w in net.weights]
-    train_step(net, net.copy(), [tr], lr=0.0, gamma=0.5)
+    train_step(net, net.copy(), batch_of([tr]), lr=0.0, gamma=0.5)
     unchanged = all(np.array_equal(a, b)
                     for a, b in zip(before, net.weights))
     _verdict("5c zero-step-size update is a no-op", unchanged)

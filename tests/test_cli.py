@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from agcsim import dqn
 from agcsim.cli import main, EXIT_PARSE, EXIT_INSTABILITY
 from agcsim.controllers import solve_dare, zoh_discretize
 from agcsim.factory import build_controller
@@ -140,11 +141,19 @@ class TestTrainCli:
 
     # sha256 of the checkpoint of `agcsim train scenarios/scenario_a.txt
     # --episodes 3 --seed 0`, recorded with numpy 2.4.6 (OpenBLAS, x86-64)
-    # before run_episode moved to the lifted period map.  dqn.train still
-    # integrates with rk4_step, and the acceptance gate's DQN criteria depend
-    # on its exact bits, so this must not move.
-    TRAIN_A_SHA256 = ("da13345f9ed7b962f6ae3f7cb109dffeb3c0a35d"
-                      "67d96f00e2dc4601584ed80f")
+    # with the HyperParams defaults equal to the acceptance gate's
+    # configuration.
+    TRAIN_A_SHA256 = ("4e97e138e4fbc73bc0ecd71d6243bdbe2553ea2f"
+                      "e2751d362b21e4d21ddc1910")
+    # The same run with the HyperParams defaults the package had before
+    # they became the gate's, passed explicitly.  It was recorded before
+    # run_episode moved to the lifted period map; dqn.train still integrates
+    # with rk4_step, and the acceptance gate's DQN criteria depend on its
+    # exact bits, so this guards the training arithmetic and must not move.
+    OLD_DEFAULTS = dict(learning_rate=1e-3, levels=7, span=0.1,
+                        reward_scale=1.0, obs_scale=1.0)
+    OLD_DEFAULTS_SHA256 = ("da13345f9ed7b962f6ae3f7cb109dffeb3c0a35d"
+                           "67d96f00e2dc4601584ed80f")
 
     def test_checkpoint_bits_pinned(self, tmp_path, capsys):
         if np.__version__ != "2.4.6":
@@ -156,6 +165,18 @@ class TestTrainCli:
         assert rc == 0
         assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == \
             self.TRAIN_A_SHA256
+
+    def test_training_arithmetic_pinned(self, tmp_path):
+        if np.__version__ != "2.4.6":
+            pytest.skip("checkpoint hash recorded with numpy 2.4.6")
+        sc = load_scenario(SCENARIO_DIR / "scenario_a.txt")
+        hyper = dqn.HyperParams(**self.OLD_DEFAULTS)
+        net, _ = dqn.train(sc, hyper, episodes=3, seed=0)
+        ckpt = tmp_path / "a.ckpt"
+        dqn.save_checkpoint(net, dqn.ActionTable(2, hyper.levels, hyper.span),
+                            ckpt, hyper.obs_scale)
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == \
+            self.OLD_DEFAULTS_SHA256
 
     def test_seed_defaults_to_scenario_seed(self, tmp_path, capsys):
         sc = tmp_path / "sc.txt"

@@ -178,8 +178,11 @@ class TestClosedLoopControllers:
     def test_lqr_and_mpc_agree_in_closed_loop(self):
         sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 2.0)], horizon=10.0)
         m = sc.build_model()
-        t1 = run_episode(sc, LqrController(m, sc.control_period), model=m)
-        t2 = run_episode(sc, MpcController(m, sc.control_period), model=m)
+        Q, R = default_weights(m)
+        t1 = run_episode(sc, LqrController(m, sc.control_period, Q, R),
+                         model=m)
+        t2 = run_episode(sc, MpcController(m, sc.control_period, Q, R),
+                         model=m)
         assert np.max(np.abs(t1.states - t2.states)) < 1e-7
 
     def test_estimator_tracks_plant_without_attack(self):

@@ -1,11 +1,13 @@
 """DQN components: network and gradients, action selection law, reward,
 TD targets, SGD updates, replay memory, target sync, and the training loop."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from agcsim.dqn import (ActionTable, DqnController, HyperParams, QNetwork,
-                        ReplayMemory, Transition, batch_targets,
+                        ReplayMemory, batch_targets,
                         load_checkpoint, loss_and_grads, observation,
                         save_checkpoint, select_action, sync_target,
                         train, train_step, write_training_log)
@@ -14,6 +16,27 @@ from agcsim.harness import control_reward, step_penalty
 from agcsim.dynamics import AreaParams, LfcModel, TieTopology, \
     two_area_benchmark
 from agcsim.scenario import Scenario
+
+
+@dataclass
+class Transition:
+    """Oracle record of one experience (s, a, r, s', terminal)."""
+
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    terminal: bool
+
+
+def batch_of(transitions):
+    """Oracle: transitions stacked into the (states, actions, rewards,
+    next_states, terminals) arrays that train_step takes."""
+    return (np.stack([tr.state for tr in transitions]),
+            np.array([tr.action for tr in transitions], dtype=int),
+            np.array([tr.reward for tr in transitions]),
+            np.stack([tr.next_state for tr in transitions]),
+            np.array([tr.terminal for tr in transitions], dtype=bool))
 
 
 def td_target(transition, target_net, gamma):
@@ -108,7 +131,7 @@ class TestActionTable:
 
     def test_index_out_of_range(self):
         with pytest.raises(StructuralError):
-            ActionTable(2).commands(49)
+            ActionTable(2, levels=7, span=0.1).commands(49)
 
 
 class TestSelectAction:
@@ -252,7 +275,7 @@ class TestTrainStep:
         net = small_net(7)
         target = net.copy()
         before_w = [w.copy() for w in net.weights]
-        loss = train_step(net, target, self._batch(), 0.0, 0.9)
+        loss = train_step(net, target, batch_of(self._batch()), 0.0, 0.9)
         assert loss > 0
         for w, ref in zip(net.weights, before_w):
             assert np.array_equal(w, ref)
@@ -260,7 +283,7 @@ class TestTrainStep:
     def test_fixed_batch_loss_non_increasing(self):
         net = small_net(8)
         target = net.copy()
-        batch = self._batch(seed=3)
+        batch = batch_of(self._batch(seed=3))
         losses = [train_step(net, target, batch, 1e-3, 0.9)
                   for _ in range(100)]
         diffs = np.diff(losses)
@@ -274,22 +297,23 @@ class TestTrainStep:
                         np.zeros(2), True)
         gamma = 0.9
         before = abs(td_error(tr, net, target_net, gamma))
-        train_step(net, target_net, [tr], 1e-2, gamma)
+        train_step(net, target_net, batch_of([tr]), 1e-2, gamma)
         after = abs(td_error(tr, net, target_net, gamma))
         assert after < before
 
     def test_empty_batch_rejected(self):
         net = small_net()
         with pytest.raises(StructuralError):
-            train_step(net, net.copy(), [], 1e-3, 0.9)
+            train_step(net, net.copy(),
+                       (np.empty((0, 4)), np.empty(0, dtype=int), np.empty(0),
+                        np.empty((0, 4)), np.empty(0, dtype=bool)), 1e-3, 0.9)
 
 
 class TestReplayMemory:
     def test_capacity_and_eviction(self):
         mem = ReplayMemory(capacity=3)
         for k in range(5):
-            mem.push(Transition(np.array([float(k)]), 0, 0.0,
-                                np.array([0.0]), False))
+            mem.push(np.array([float(k)]), 0, 0.0, np.array([0.0]), False)
         assert len(mem) == 3
         stored = sorted(mem._s[:3, 0])
         assert stored == [2.0, 3.0, 4.0]  # oldest-first eviction
@@ -297,8 +321,7 @@ class TestReplayMemory:
     def test_uniform_sampling(self):
         mem = ReplayMemory(capacity=100)
         for k in range(100):
-            mem.push(Transition(np.array([float(k)]), 0, 0.0,
-                                np.array([0.0]), False))
+            mem.push(np.array([float(k)]), 0, 0.0, np.array([0.0]), False)
         rng = np.random.default_rng(0)
         idx = mem.sample_indices(1_000_000, rng)
         counts = np.bincount(idx, minlength=100)
@@ -309,6 +332,13 @@ class TestReplayMemory:
     def test_empty_sample_rejected(self):
         with pytest.raises(StructuralError):
             ReplayMemory(8).sample(4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reward_rejected(self, reward):
+        mem = ReplayMemory(8)
+        with pytest.raises(StructuralError, match="reward must be finite"):
+            mem.push(np.zeros(2), 0, reward, np.zeros(2), False)
+        assert len(mem) == 0
 
 
 class TestSyncTarget:

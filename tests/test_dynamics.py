@@ -3,12 +3,15 @@ oracles, linear-model assembly, ACE, and structural invariants."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
+from agcsim.controllers import ZeroController
 from agcsim.dynamics import (AreaParams, LfcModel, PlantInputs, TieTopology,
                              two_area_benchmark)
 from agcsim.errors import NumericError, StructuralError
+from agcsim.harness import run_episode
+from agcsim.scenario import LoadEvent, Scenario
 
 
 def single_area_model(**kwargs):
@@ -290,16 +293,16 @@ def connected_grids(draw):
 
 
 def _period_error(model, h, steps, seed):
-    """Relative max error of period_map against `steps` sequential RK4
-    steps with the command held and a fresh load each step."""
+    """Relative max error of period_map plus load_response against `steps`
+    sequential RK4 steps with the command held and a fresh load each step."""
     rng = np.random.default_rng(seed)
     n = model.n_areas
     x = rng.normal(0, 0.05, model.dim)
     u = rng.normal(0, 0.4, n)   # some entries beyond the saturation limit
     loads = rng.normal(0, 0.02, (steps, n))
     held = np.clip(u, -model.p_c_max, model.p_c_max)
-    lifted = model.period_map(h, steps) @ np.concatenate(
-        [x, held, loads.ravel()])
+    lifted = (model.period_map(h, steps) @ np.concatenate([x, held])
+              + model.load_response(h, loads).ravel())
     ref = []
     state = x
     for j in range(steps):
@@ -328,8 +331,54 @@ class TestPeriodMap:
 
     def test_shape(self):
         m = two_area_benchmark()
-        assert m.period_map(0.01, 10).shape == (10 * m.dim, m.dim + 2 + 20)
+        assert m.period_map(0.01, 10).shape == (10 * m.dim, m.dim + 2)
+
+    def test_size_linear_in_steps(self):
+        # 1000 plant steps per period: 7000 x 9 entries, about 0.5 MB.
+        assert two_area_benchmark().period_map(0.001, 1000).nbytes <= 2 ** 20
 
     def test_bad_step_size(self):
         with pytest.raises(StructuralError):
             two_area_benchmark().period_map(0.0, 10)
+        with pytest.raises(StructuralError):
+            two_area_benchmark().load_response(0.0, np.zeros((10, 2)))
+
+
+class TestClosedFormSteadyState:
+    """Zero control and step loads on a random connected grid: every final
+    df_i equals -sum(dP_L) / sum(D_i + 1/R_i).
+
+    A draw is kept only when every mode of A the loads can excite decays at
+    SLOWEST_DECAY or faster; about 10% of draws do not (on a few the primary
+    loop is even unstable: low droop with slow governor and turbine).  The
+    exactly-zero modes of tie loops and unused pair slots are left out:
+    they carry no load and stay at zero from the zero state.  The last load
+    starts by t = 20 s, so at the horizon the transient has shrunk by at
+    most exp(-0.1 * 380) = 3e-17.  RK4's fixed point x = M x + N g is the
+    ODE's A x + g = 0 exactly, so what is left is round-off; the bound is
+    1e-12 of the load's frequency scale (worst of 400 draws: 8.4e-14).
+    """
+
+    SLOWEST_DECAY = 0.1   # 1/s
+    HORIZON = 400.0       # s
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=connected_grids(), data=st.data())
+    def test_droop_offset(self, model, data):
+        eig = np.linalg.eigvals(model.assemble_linear_model()[0])
+        assume(np.all(-eig[np.abs(eig) > 1e-9].real >= self.SLOWEST_DECAY))
+        n = model.n_areas
+        loads = data.draw(st.lists(
+            st.builds(LoadEvent, st.integers(0, n - 1), st.just("step"),
+                      _span(-0.02, 0.02), _span(0.0, 20.0)),
+            min_size=1, max_size=4))
+        sc = Scenario(areas=model.areas,
+                      tie_coefficients=model.topo.coefficients, loads=loads,
+                      horizon=self.HORIZON, plant_step=0.01,
+                      control_period=1.0)
+        traj = run_episode(sc, ZeroController(n), model=model)
+        stiffness = sum(a.damping + 1 / a.droop for a in model.areas)
+        expected = -sum(ev.magnitude for ev in loads) / stiffness
+        scale = sum(abs(ev.magnitude) for ev in loads) / stiffness
+        assert np.max(np.abs(model.freq(traj.states[-1]) - expected)) \
+            <= 1e-12 * scale

@@ -193,6 +193,24 @@ class TestAgainstReferenceLoop:
         assert np.max(np.abs(traj.states - states)) <= 1e-12
         assert np.max(np.abs(traj.u_applied - ua)) <= 1e-10
 
+    def test_thousand_steps_per_period(self):
+        # The period map has 7000 x 9 entries here; a load block per plant
+        # step would have made it 7000 x 2009.
+        sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 2.0),
+                             LoadEvent(1, "ramp", 0.002, 3.5)],
+                      attacks=[AttackSignal("step", 0.01, 4.0,
+                                            InjectionPoint("control_signal",
+                                                           1))],
+                      horizon=10.0, plant_step=0.001, control_period=1.0)
+        m = sc.build_model()
+        pid = PidController(m.beta, PidGains(kp=0.3, ki=0.3),
+                            sc.control_period)
+        traj = run_episode(sc, pid, model=m)
+        states, mf, mt, uc, ua, rewards = reference_episode(sc, pid, m)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+        assert np.max(np.abs(traj.rewards - rewards)) <= 1e-12
+        assert np.max(np.abs(traj.u_applied - ua)) <= 1e-10
+
     def test_divergence_reports_first_step(self):
         class Runaway(ZeroController):
             def observe(self, frame):
