@@ -9,6 +9,7 @@ end-of-step true state.  One loop (_rollout) advances either one episode or
 a stack of episodes that share a scenario.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .attacks import (MeasurementFrame, corrupt_control,
                       corrupt_measurements, measure)
 from .errors import InstabilityError, NumericError, StructuralError
+from .scenario import _is_multiple
 
 # States beyond this deviation are far outside linear-model validity.
 DIVERGENCE_LIMIT = 10.0
@@ -270,6 +272,10 @@ def compute_metrics(traj, model, band=1e-3):
 # CSV persistence
 # ---------------------------------------------------------------------------
 
+# Rows formatted per write: bounds the Python strings alive at once.
+_CHUNK_ROWS = 256
+
+
 def _columns(n_areas, pairs):
     cols = ["t"]
     cols += [f"df_{i + 1}" for i in range(n_areas)]
@@ -285,55 +291,68 @@ def _columns(n_areas, pairs):
 
 
 def write_trajectory_csv(traj, path, model):
-    """Write a trajectory as CSV (exact decimal round-trip via repr)."""
+    """Write a trajectory as CSV (exact decimal round-trip via repr).
+
+    The columns are stacked into one table whose reward column is zero
+    except at the end of each control period, and the table is formatted
+    in bounded chunks of rows."""
     ratio = round(traj.control_period / traj.plant_step)
     cols = _columns(model.n_areas, model.pairs)
+    reward = np.zeros(len(traj))
+    reward[ratio::ratio] = traj.rewards
+    table = np.column_stack([traj.t, traj.states, traj.meas_freq,
+                             traj.meas_tie, traj.u_cmd, traj.u_applied,
+                             reward])
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# agcsim-trajectory format_version=1 "
                      f"plant_step={traj.plant_step!r} "
                      f"control_period={traj.control_period!r}\n")
             fh.write(",".join(cols) + "\n")
-            for k in range(len(traj)):
-                reward = 0.0
-                if k > 0 and k % ratio == 0:
-                    reward = traj.rewards[k // ratio - 1]
-                row = np.concatenate([
-                    [traj.t[k]], traj.states[k], traj.meas_freq[k],
-                    traj.meas_tie[k], traj.u_cmd[k], traj.u_applied[k],
-                    [reward]])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for k in range(0, len(table), _CHUNK_ROWS):
+                chunk = table[k:k + _CHUNK_ROWS]
+                # One repr per distinct bit pattern in the chunk: held
+                # commands, zero rewards and settled states repeat.
+                bits, index = np.unique(chunk.view(np.uint64),
+                                        return_inverse=True)
+                text = np.array(list(map(repr, bits.view(float).tolist())),
+                                dtype=object)
+                fh.writelines(",".join(row) + "\n" for row in
+                              text[index.reshape(chunk.shape)].tolist())
     except OSError as exc:
         raise OSError(f"cannot write trajectory to {path}: {exc}") from exc
 
 
 def read_trajectory_csv(path, model):
-    """Read back a trajectory written by write_trajectory_csv."""
+    """Read back a trajectory written by write_trajectory_csv.
+
+    The data section is parsed by numpy.loadtxt; a file it rejects is
+    scanned again line by line to name the first bad line."""
+    expected = _columns(model.n_areas, model.pairs)
+    width = len(expected)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-            if not header.startswith("# agcsim-trajectory"):
-                raise StructuralError(f"{path}: not a trajectory file")
+            h, dt = _read_header(fh, path, expected)
+            start = fh.tell()
             try:
-                meta = dict(tok.split("=", 1) for tok in header.split()[2:])
-                h = float(meta["plant_step"])
-                dt = float(meta["control_period"])
-            except (KeyError, ValueError):
-                raise StructuralError(
-                    f"{path}: line 1: bad trajectory header") from None
-            names = fh.readline().rstrip("\n").split(",")
-            expected = _columns(model.n_areas, model.pairs)
-            if names != expected:
-                raise StructuralError(f"{path}: column mismatch")
-            rows = []
-            for lineno, line in enumerate(fh, start=3):
-                if line.strip():
-                    rows.append(_data_row(line, len(expected), path, lineno))
+                with warnings.catch_warnings():  # a header-only file
+                    warnings.filterwarnings("ignore", "loadtxt: input "
+                                            "contained no data")
+                    data = np.loadtxt(fh, delimiter=",", comments=None,
+                                      ndmin=2)
+                ok = data.shape[1] == width or not data.size
+            except ValueError:
+                ok = False
+            if not ok:
+                fh.seek(start)
+                _name_bad_line(fh, width, path)
+    except UnicodeDecodeError:
+        raise StructuralError(f"{path}: not UTF-8 text") from None
     except OSError as exc:
         raise OSError(f"cannot read trajectory from {path}: {exc}") from exc
     n, p = model.n_areas, model.n_pairs
     ratio = round(dt / h)
-    data = np.array(rows).reshape(len(rows), len(expected))
+    data = data.reshape(-1, width)  # (0, 1) when there are no rows
     t = data[:, 0]
     ofs = 1
     states = data[:, ofs:ofs + 3 * n + p]; ofs += 3 * n + p
@@ -341,21 +360,49 @@ def read_trajectory_csv(path, model):
     mt = data[:, ofs:ofs + n]; ofs += n
     uc = data[:, ofs:ofs + n]; ofs += n
     ua = data[:, ofs:ofs + n]; ofs += n
-    reward_col = data[:, ofs]
-    n_ctrl = (len(t) - 1) // ratio if len(t) else 0
-    rewards = np.array([reward_col[(m + 1) * ratio] for m in range(n_ctrl)])
+    rewards = data[ratio::ratio, ofs]
     return Trajectory(t, states, mf, mt, uc, ua, rewards, h, dt)
 
 
+def _read_header(fh, path, expected):
+    """(plant_step, control_period) from the two header lines; the period
+    must be a positive whole multiple of the step."""
+    header = fh.readline()
+    if not header.startswith("# agcsim-trajectory"):
+        raise StructuralError(f"{path}: not a trajectory file")
+    try:
+        meta = dict(tok.split("=", 1) for tok in header.split()[2:])
+        h = float(meta["plant_step"])
+        dt = float(meta["control_period"])
+        ok = h > 0 and dt > 0 and _is_multiple(dt, h)
+    except (KeyError, ValueError):
+        ok = False
+    if not ok:
+        raise StructuralError(f"{path}: line 1: bad trajectory header")
+    if fh.readline().rstrip("\n").split(",") != expected:
+        raise StructuralError(f"{path}: column mismatch")
+    return h, dt
+
+
+def _name_bad_line(fh, width, path):
+    """Raise a StructuralError at the first data line that does not hold
+    exactly `width` numbers; at the path alone when no line is at fault."""
+    for lineno, line in enumerate(fh, start=3):
+        if line != "\n":
+            _data_row(line, width, path, lineno)
+    raise StructuralError(f"{path}: unreadable trajectory data")
+
+
 def _data_row(line, width, path, lineno):
-    """The numbers of one data line; a StructuralError at the line when it
-    does not hold exactly `width` of them (a file cut mid-row, say)."""
+    """A StructuralError at the line when one data line does not hold
+    exactly `width` numbers (a file cut mid-row, say)."""
     fields = line.rstrip("\n").split(",")
     if len(fields) != width:
         raise StructuralError(f"{path}: line {lineno}: {len(fields)} fields, "
                               f"expected {width}")
     try:
-        return [float(v) for v in fields]
+        for v in fields:
+            float(v)
     except ValueError:
         raise StructuralError(
             f"{path}: line {lineno}: not a number in the row") from None

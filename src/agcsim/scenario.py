@@ -41,6 +41,7 @@ Format (key = value lines, # comments, [section] blocks), version 1:
 Unknown keys and unknown sections are errors (no silent typo acceptance).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,9 +189,10 @@ class Scenario:
 
 
 def _is_multiple(value, unit):
-    """value / unit is a positive integer up to a 1e-9 tolerance."""
+    """value / unit is a finite positive integer up to a 1e-9 tolerance."""
     ratio = value / unit
-    return abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1
+    return (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9
+            and round(ratio) >= 1)
 
 
 # ---------------------------------------------------------------------------

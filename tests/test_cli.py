@@ -91,6 +91,7 @@ class TestScenarioValidation:
         "horizon = inf\n",
         "plant_step = nan\n",
         "plant_step = inf\n",
+        "plant_step = 5e-324\n",    # control_period / plant_step overflows
         "control_period = nan\n",
         "control_period = inf\n",
         "command_limit = nan\n",

@@ -292,6 +292,17 @@ def connected_grids(draw):
     return LfcModel(areas, TieTopology(n, coef))
 
 
+class TestTieFlow:
+    @settings(max_examples=60, deadline=None)
+    @given(model=connected_grids(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_antisymmetric_on_any_grid(self, model, seed):
+        state = np.random.default_rng(seed).normal(0, 0.05, model.dim)
+        ties = model.tie_states(state)
+        for k, (i, j) in enumerate(model.pairs):
+            assert model.tie_flow(state, i, j) == ties[k]
+            assert model.tie_flow(state, j, i) == -model.tie_flow(state, i, j)
+
+
 def _period_error(model, h, steps, seed):
     """Relative max error of period_map plus load_response against `steps`
     sequential RK4 steps with the command held and a fresh load each step."""

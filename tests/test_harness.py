@@ -1,21 +1,25 @@
 """Episode execution, metrics, trajectory persistence, and comparison."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from agcsim.attacks import (AttackSignal, InjectionPoint, corrupt_control,
                             corrupt_measurements, measure)
 from agcsim.controllers import PidController, PidGains, ZeroController
-from agcsim.dynamics import AreaParams
+from agcsim.dynamics import AreaParams, LfcModel, TieTopology
 from agcsim.errors import InstabilityError, NumericError, StructuralError
 from agcsim.factory import build_controller
 from agcsim.cli import main
-from agcsim.harness import (Trajectory, _rollout, compare, compute_metrics,
-                            control_reward, format_comparison,
-                            read_trajectory_csv, run_episode,
-                            write_comparison_csv, write_trajectory_csv)
+from agcsim.harness import (Trajectory, _columns, _rollout, compare,
+                            compute_metrics, control_reward,
+                            format_comparison, read_trajectory_csv,
+                            run_episode, write_comparison_csv,
+                            write_trajectory_csv)
 from agcsim.scenario import LoadEvent, Scenario, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -346,6 +350,68 @@ class TestComputeMetrics:
             compute_metrics(empty_trajectory(m), m)
 
 
+def row_by_row_csv(traj, path, model):
+    """The row-at-a-time CSV writer that the table writer replaced, kept as
+    the oracle of its bytes."""
+    ratio = round(traj.control_period / traj.plant_step)
+    cols = _columns(model.n_areas, model.pairs)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# agcsim-trajectory format_version=1 "
+                 f"plant_step={traj.plant_step!r} "
+                 f"control_period={traj.control_period!r}\n")
+        fh.write(",".join(cols) + "\n")
+        for k in range(len(traj)):
+            reward = 0.0
+            if k > 0 and k % ratio == 0:
+                reward = traj.rewards[k // ratio - 1]
+            row = np.concatenate([
+                [traj.t[k]], traj.states[k], traj.meas_freq[k],
+                traj.meas_tie[k], traj.u_cmd[k], traj.u_applied[k],
+                [reward]])
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+TRAJECTORY_FIELDS = ("t", "states", "meas_freq", "meas_tie", "u_cmd",
+                     "u_applied", "rewards")
+
+# Values whose repr or parse is easy to get wrong: signed zero, the smallest
+# subnormal, extreme exponents, and the switch points of repr's notation.
+CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300,
+                     -1e-300, 1e16, -1e16, 1e-5, -1e-5, 0.1]),
+    st.floats(allow_nan=False))
+
+
+@st.composite
+def random_trajectories(draw):
+    """(trajectory, model): 1-4 areas, 0-50 control periods of 1-10 plant
+    steps, every value drawn from CSV_VALUES."""
+    n = draw(st.integers(1, 4))
+    model = LfcModel([AreaParams()] * n,
+                     TieTopology(n, np.full((n, n), 0.05) - 0.05 * np.eye(n)))
+    ratio = draw(st.integers(1, 10))
+    periods = draw(st.integers(0, 50))
+    rows = periods * ratio + 1
+
+    def column(*shape):
+        return draw(arrays(np.float64, shape, elements=CSV_VALUES))
+
+    h = draw(st.sampled_from([0.001, 0.01, 0.02, 0.05]))
+    traj = Trajectory(column(rows), column(rows, model.dim),
+                      column(rows, n), column(rows, n), column(rows, n),
+                      column(rows, n), column(periods), h, ratio * h)
+    return traj, model
+
+
+def assert_bit_equal(traj, back):
+    for attr in TRAJECTORY_FIELDS:
+        a, b = getattr(traj, attr), getattr(back, attr)
+        assert a.shape == b.shape, attr
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), attr
+    assert back.plant_step == traj.plant_step
+    assert back.control_period == traj.control_period
+
+
 class TestTrajectoryCsv:
     def _random_traj(self):
         sc = Scenario(loads=[LoadEvent(0, "step", 0.01, 1.0)],
@@ -360,8 +426,7 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path, m)
         back = read_trajectory_csv(path, m)
-        for attr in ("t", "states", "meas_freq", "meas_tie", "u_cmd",
-                     "u_applied", "rewards"):
+        for attr in TRAJECTORY_FIELDS:
             assert np.array_equal(getattr(traj, attr), getattr(back, attr)), attr
         assert back.plant_step == traj.plant_step
         assert back.control_period == traj.control_period
@@ -383,8 +448,33 @@ class TestTrajectoryCsv:
         lines = path.read_text().splitlines()
         assert len(lines) == 2  # metadata + header row
 
+    def test_header_only_reads_back_without_warning(self, tmp_path):
+        m = Scenario(horizon=2.0).build_model()
+        path = tmp_path / "empty.csv"
+        traj = empty_trajectory(m)
+        write_trajectory_csv(traj, path, m)
+        row_by_row_csv(traj, tmp_path / "oracle.csv", m)
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_trajectory_csv(path, m)
+        assert_bit_equal(traj, back)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=random_trajectories())
+    def test_bytes_match_row_by_row_oracle(self, tmp_path, case):
+        traj, m = case
+        path, oracle = tmp_path / "traj.csv", tmp_path / "oracle.csv"
+        write_trajectory_csv(traj, path, m)
+        row_by_row_csv(traj, oracle, m)
+        assert path.read_bytes() == oracle.read_bytes()
+        assert_bit_equal(traj, read_trajectory_csv(path, m))
+
     @pytest.mark.parametrize("cut", ["mid_row", "long_row", "bad_number",
-                                     "bad_header"])
+                                     "bad_header", "zero_step", "nan_step",
+                                     "tiny_step", "short_period",
+                                     "blank_row"])
     def test_damaged_file_names_path_and_line(self, tmp_path, capsys, cut):
         path = tmp_path / "traj.csv"
         assert main(["simulate", str(SCENARIO_DIR / "scenario_a.txt"),
@@ -397,12 +487,36 @@ class TestTrajectoryCsv:
             damaged = "".join(lines[:5]) + lines[5].rstrip("\n") + ",0.0\n"
         elif cut == "bad_number":
             damaged = "".join(lines[:5]) + lines[5].replace(",", ",x", 1)
-        else:
+        elif cut == "bad_header":
             damaged = text.replace("plant_step=", "plant_step", 1)
+        elif cut == "zero_step":
+            damaged = text.replace("plant_step=0.01", "plant_step=0.0", 1)
+        elif cut == "nan_step":
+            damaged = text.replace("plant_step=0.01", "plant_step=nan", 1)
+        elif cut == "tiny_step":  # control_period / plant_step overflows
+            damaged = text.replace("plant_step=0.01", "plant_step=5e-324", 1)
+        elif cut == "short_period":
+            damaged = text.replace("control_period=0.1",
+                                   "control_period=0.001", 1)
+        else:  # a row of spaces where a data row was
+            damaged = "".join(lines[:5]) + "   \n" + "".join(lines[6:])
+        assert damaged != text
         path.write_text(damaged)
-        line = {"mid_row": len(lines), "bad_header": 1}.get(cut, 6)
+        line = {"mid_row": len(lines), "bad_header": 1, "zero_step": 1,
+                "nan_step": 1, "tiny_step": 1,
+                "short_period": 1}.get(cut, 6)
         m = load_scenario(SCENARIO_DIR / "scenario_a.txt").build_model()
         with pytest.raises(StructuralError, match=f"line {line}:") as err:
+            read_trajectory_csv(path, m)
+        assert str(path) in str(err.value)
+
+    def test_non_utf8_names_path(self, tmp_path):
+        traj, m = self._random_traj()
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path, m)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:5]) + b"\xff\xfe" + lines[5])
+        with pytest.raises(StructuralError, match="not UTF-8") as err:
             read_trajectory_csv(path, m)
         assert str(path) in str(err.value)
 
