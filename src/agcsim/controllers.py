@@ -11,6 +11,7 @@ shared across concurrent episodes; distinct instances are independent.
 """
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,8 @@ def zoh_discretize(A, B, h):
 
 
 # solve_dare stops once no entry of P moves by DARE_TOL in one iteration and
-# gives up after DARE_MAX_ITER iterations.
+# gives up when P still moves after DARE_MAX_ITER iterations, rounded up to a
+# power of two (the doubling sees the iterates 1, 2, 4, 8, ...).
 DARE_TOL = 1e-12
 DARE_MAX_ITER = 100_000
 
@@ -128,13 +130,48 @@ def riccati_step(Ad, Bd, Q, R, P):
     the gain of the law u = -K x that is optimal against P.
     """
     BtP = Bd.T @ P
-    K = np.linalg.solve(R + BtP @ Bd, BtP @ Ad)
+    try:
+        K = np.linalg.solve(R + BtP @ Bd, BtP @ Ad)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(
+            "singular R + B'PB in a Riccati step (no cost weights the "
+            "commands)") from None
     P_prev = Ad.T @ P @ (Ad - Bd @ K) + Q
     return 0.5 * (P_prev + P_prev.T), K
 
 
+def riccati_doubling(Ad, Bd, Q, R):
+    """Yield P_1 - Q, P_2 - Q, P_4 - Q, ...: the Riccati iterates from P_0 = Q
+    after 2^k steps, less Q, one matrix update apart.
+
+    Structure-preserving doubling (Anderson, Int. J. Control 27, 1978; Lin &
+    Xu, SIAM J. Matrix Anal. Appl. 28, 2006) shifted about P = Q: the first
+    Riccati step gives A = Ad - Bd K0, G = Bd (R + Bd'Q Bd)^-1 Bd' and
+    H = P_1 - Q.  The shift needs no inverse of R, only the matrix the first
+    step solves.
+    """
+    P1, K0 = riccati_step(Ad, Bd, Q, R, Q)
+    A = Ad - Bd @ K0
+    G = Bd @ np.linalg.solve(R + Bd.T @ Q @ Bd, Bd.T)
+    H = P1 - Q
+    eye = np.eye(len(Q))
+    while True:
+        yield H
+        WA, WG = np.hsplit(np.linalg.solve(eye + G @ H, np.hstack([A, G])), 2)
+        H = H + A.T @ H @ WA
+        G = G + A @ WG @ A.T
+        A = A @ WA
+        H = 0.5 * (H + H.T)
+        G = 0.5 * (G + G.T)
+
+
 def solve_dare(Ad, Bd, Q, R):
-    """Discrete algebraic Riccati equation by fixed-point iteration from P=Q.
+    """Discrete algebraic Riccati equation, iterated from P=Q.
+
+    The iterates 1, 2, 4, ... come from riccati_doubling, at most
+    DARE_MAX_ITER.bit_length() updates (2^17 >= 100 000 steps), until no
+    entry moves by DARE_TOL.  Single Riccati steps then polish P until one
+    moves no entry by DARE_TOL.
 
     Returns (P, K) with the control law u = -K x.
     """
@@ -142,12 +179,20 @@ def solve_dare(Ad, Bd, Q, R):
     Bd = np.asarray(Bd, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    P = Q.copy()
-    for _ in range(DARE_MAX_ITER):
-        P_next, _ = riccati_step(Ad, Bd, Q, R, P)
-        if np.max(np.abs(P_next - P)) < DARE_TOL:
-            return P_next, riccati_step(Ad, Bd, Q, R, P_next)[1]
-        P = P_next
+    doubling = riccati_doubling(Ad, Bd, Q, R)
+    H = next(doubling)
+    for H_next in itertools.islice(doubling, DARE_MAX_ITER.bit_length()):
+        moved = np.max(np.abs(H_next - H))
+        H = H_next
+        if moved < DARE_TOL or not np.isfinite(moved):
+            break
+    if moved < DARE_TOL:
+        P = Q + H
+        for _ in range(DARE_MAX_ITER):
+            P_next, _ = riccati_step(Ad, Bd, Q, R, P)
+            if np.max(np.abs(P_next - P)) < DARE_TOL:
+                return P_next, riccati_step(Ad, Bd, Q, R, P_next)[1]
+            P = P_next
     raise ConvergenceError(
         f"Riccati iteration did not converge within {DARE_MAX_ITER} iterations")
 

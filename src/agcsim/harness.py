@@ -327,7 +327,9 @@ def read_trajectory_csv(path, model):
     """Read back a trajectory written by write_trajectory_csv.
 
     The data section is parsed by numpy.loadtxt; a file it rejects is
-    scanned again line by line to name the first bad line."""
+    scanned again line by line to name the first bad line.  The rows must
+    end on a control period (none, or 1 + a whole number of periods).  A
+    file cut exactly on a period boundary still reads back, shorter."""
     expected = _columns(model.n_areas, model.pairs)
     width = len(expected)
     try:
@@ -353,6 +355,11 @@ def read_trajectory_csv(path, model):
     n, p = model.n_areas, model.n_pairs
     ratio = round(dt / h)
     data = data.reshape(-1, width)  # (0, 1) when there are no rows
+    rows = len(data)
+    if rows and (rows - 1) % ratio:  # a file cut at a row boundary
+        raise StructuralError(f"{path}: {rows} data rows end "
+                              f"{(rows - 1) % ratio} plant steps into a "
+                              f"control period")
     t = data[:, 0]
     ofs = 1
     states = data[:, ofs:ofs + 3 * n + p]; ofs += 3 * n + p

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from agcsim import dqn
-from agcsim.cli import main, EXIT_PARSE, EXIT_INSTABILITY
+from agcsim.cli import main, EXIT_CONVERGENCE, EXIT_INSTABILITY, EXIT_PARSE
 from agcsim.controllers import solve_dare, zoh_discretize
 from agcsim.factory import build_controller
 from agcsim.harness import compare
@@ -300,6 +300,28 @@ def test_three_area_complete_grid_builds_without_tie_weight(tmp_path, capsys,
     path = tmp_path / "grid3.txt"
     path.write_text(GRID3 + f"[controller]\ntype = {ctype}\nq_tie = 0\n")
     assert main(["simulate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("ctype", ["lqr", "mpc"])
+def test_three_area_complete_grid_default_weights_exit_4(tmp_path, capsys,
+                                                          ctype):
+    path = tmp_path / "grid3.txt"
+    path.write_text(GRID3 + f"[controller]\ntype = {ctype}\n")
+    assert main(["simulate", str(path)]) == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("convergence failure: Riccati iteration did not "
+                          "converge within 100000 iterations")
+
+
+@pytest.mark.parametrize("ctype", ["lqr", "mpc"])
+def test_all_zero_weights_exit_4(tmp_path, capsys, ctype):
+    path = tmp_path / "sc.txt"
+    path.write_text(MINIMAL.replace("zero", ctype) +
+                    "q_freq = 0\nq_tie = 0\nr_weight = 0\n")
+    assert main(["simulate", str(path)]) == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("convergence failure: singular R + B'PB")
+    assert err.count("\n") == 1
 
 
 class TestTunePidCli:

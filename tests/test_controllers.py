@@ -1,9 +1,13 @@
 """Baseline controllers: PID arithmetic, ZOH discretization, Riccati solver,
 MPC/LQR equivalence, and the PID tuner."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from agcsim import controllers
 from agcsim.attacks import (ATTACK_KINDS, CHANNELS, AttackSignal,
@@ -11,12 +15,16 @@ from agcsim.attacks import (ATTACK_KINDS, CHANNELS, AttackSignal,
 from agcsim.controllers import (LqrController, MpcController, PidController,
                                 PidGains, StateEstimator, ZeroController,
                                 dare_residual, default_weights, mpc_gain,
-                                mpc_step, solve_dare, tune_pid, zoh_discretize)
+                                mpc_step, riccati_doubling, riccati_step,
+                                solve_dare, tune_pid, zoh_discretize)
 from agcsim.dynamics import (AreaParams, LfcModel, TieTopology,
                              two_area_benchmark)
-from agcsim.errors import InstabilityError, NumericError, StructuralError
+from agcsim.errors import (ConvergenceError, InstabilityError, NumericError,
+                           StructuralError)
 from agcsim.harness import compute_metrics, run_episode
-from agcsim.scenario import LoadEvent, Scenario
+from agcsim.scenario import LoadEvent, Scenario, load_scenario
+from tests.test_cli import GRID3
+from tests.test_scenario import SCENARIO_DIR
 
 
 def frame(freq, tie, t=0.0):
@@ -108,6 +116,101 @@ class TestSolveDare:
         _, K = solve_dare(Ad, Bd, Q, R)
         eig = np.linalg.eigvals(Ad - Bd @ K)
         assert np.max(np.abs(eig)) < 1.0
+
+
+def scenario_system(scenario, **weights):
+    """(Ad, Bd, Q, R) that LqrController builds for the scenario."""
+    m = scenario.build_model()
+    Ad, Bd = zoh_discretize(*m.assemble_linear_model(),
+                            scenario.control_period)
+    return (Ad, Bd, *default_weights(m, **weights))
+
+
+@st.composite
+def dare_systems(draw):
+    """(Ad, Bd, Q, R) with N <= 6 states: Q and R positive definite, so the
+    pair is detectable, and every eigenvalue of modulus >= 0.9 reached by
+    the commands with a margin (stabilizable)."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+
+    # Entries on a 1e-3 grid: a subnormal overflows scipy's balancing.
+    def matrix(rows, cols, bound):
+        return draw(arrays(np.float64, (rows, cols), elements=st.floats(
+            -bound, bound).map(lambda v: round(v, 3))))
+
+    Ad, Bd = matrix(n, n, 1.0), matrix(n, m, 1.0)
+    L, M = matrix(n, n, 1.0), matrix(m, m, 1.0)
+    for lam in np.linalg.eigvals(Ad):
+        if abs(lam) >= 0.9:
+            pbh = np.hstack([lam * np.eye(n) - Ad, Bd])
+            assume(np.linalg.svd(pbh, compute_uv=False)[-1] > 0.1)
+    return Ad, Bd, L @ L.T + 0.1 * np.eye(n), M @ M.T + 0.1 * np.eye(m)
+
+
+class TestRiccatiDoubling:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_update_k_is_step_two_to_the_k(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 2 + seed, 1 + seed // 2
+        Ad = rng.normal(0, 0.6, (n, n))
+        Bd = rng.normal(0, 1, (n, m))
+        L = rng.normal(0, 1, (n, n))
+        Q, R = L @ L.T, 0.5 * np.eye(m)
+        P, steps = Q, 0
+        for k, H in enumerate(itertools.islice(
+                riccati_doubling(Ad, Bd, Q, R), 7)):
+            while steps < 2 ** k:
+                P, _ = riccati_step(Ad, Bd, Q, R, P)
+                steps += 1
+            assert np.max(np.abs(Q + H - P)) < 1e-12 * np.max(np.abs(P))
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=dare_systems())
+    def test_agrees_with_scipy(self, system):
+        Ad, Bd, Q, R = system
+        expected = scipy.linalg.solve_discrete_are(Ad, Bd, Q, R)
+        scale = np.max(np.abs(expected))
+        # DARE_TOL is absolute: one step moves entries of P ~ 1e3 by more
+        # than 1e-12 in rounding alone, so such a P never passes the test.
+        assume(scale < 100)
+        P, K = solve_dare(Ad, Bd, Q, R)
+        assert dare_residual(Ad, Bd, Q, R, P) < 1e-12 * scale
+        # scipy's QZ method can miss on a degenerate draw (it returned a P
+        # off by 0.017 for Bd = 0, Ad = 2.2e-16 everywhere); compare only
+        # where its own answer solves the equation.
+        if dare_residual(Ad, Bd, Q, R, expected) < 1e-10 * scale:
+            assert np.max(np.abs(P - expected)) < 1e-10 * scale
+        assert np.max(np.abs(np.linalg.eigvals(Ad - Bd @ K))) < 1.0
+
+    def test_zero_command_weight(self):
+        sc = load_scenario(SCENARIO_DIR / "scenario_a.txt")
+        Ad, Bd, Q, R = scenario_system(sc, r_weight=0.0)
+        P, _ = solve_dare(Ad, Bd, Q, R)
+        assert dare_residual(Ad, Bd, Q, R, P) < 1e-8
+
+    def test_unreachable_weighted_mode_fails_fast(self, tmp_path,
+                                                  monkeypatch):
+        # On GRID3 the default tie weight grows P without bound: the
+        # doubling must see it within its budget, not step 100 000 times.
+        path = tmp_path / "grid3.txt"
+        path.write_text(GRID3)
+        system = scenario_system(load_scenario(path))
+        steps = []
+
+        def counted(*args):
+            steps.append(1)
+            return riccati_step(*args)
+
+        monkeypatch.setattr(controllers, "riccati_step", counted)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            solve_dare(*system)
+        assert 0 < len(steps) < 100
+
+    def test_singular_first_step(self):
+        Ad, Bd = np.eye(2), np.ones((2, 1))
+        with pytest.raises(ConvergenceError, match="singular R \\+ B'PB"):
+            solve_dare(Ad, Bd, np.zeros((2, 2)), np.zeros((1, 1)))
 
 
 class TestMpc:

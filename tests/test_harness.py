@@ -474,7 +474,7 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("cut", ["mid_row", "long_row", "bad_number",
                                      "bad_header", "zero_step", "nan_step",
                                      "tiny_step", "short_period",
-                                     "blank_row"])
+                                     "blank_row", "cut_at_row"])
     def test_damaged_file_names_path_and_line(self, tmp_path, capsys, cut):
         path = tmp_path / "traj.csv"
         assert main(["simulate", str(SCENARIO_DIR / "scenario_a.txt"),
@@ -498,6 +498,8 @@ class TestTrajectoryCsv:
         elif cut == "short_period":
             damaged = text.replace("control_period=0.1",
                                    "control_period=0.001", 1)
+        elif cut == "cut_at_row":  # 103 rows: 2 steps into the 11th period
+            damaged = "".join(lines[:105])
         else:  # a row of spaces where a data row was
             damaged = "".join(lines[:5]) + "   \n" + "".join(lines[6:])
         assert damaged != text
@@ -506,7 +508,9 @@ class TestTrajectoryCsv:
                 "nan_step": 1, "tiny_step": 1,
                 "short_period": 1}.get(cut, 6)
         m = load_scenario(SCENARIO_DIR / "scenario_a.txt").build_model()
-        with pytest.raises(StructuralError, match=f"line {line}:") as err:
+        match = (f"line {line}:" if cut != "cut_at_row" else
+                 "103 data rows end 2 plant steps into a control period")
+        with pytest.raises(StructuralError, match=match) as err:
             read_trajectory_csv(path, m)
         assert str(path) in str(err.value)
 
