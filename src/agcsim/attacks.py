@@ -47,12 +47,14 @@ class AttackSignal:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise StructuralError(f"unknown attack kind {self.kind!r}")
+        if not np.all(np.isfinite([self.magnitude, self.start_time,
+                                   self.duration])):
+            raise StructuralError(
+                "magnitude, start_time and duration must be finite")
         if self.start_time < 0:
             raise StructuralError("start_time must be >= 0")
         if self.kind == "pulse" and self.duration <= 0:
             raise StructuralError("pulse attacks need a positive duration")
-        if not np.isfinite(self.magnitude):
-            raise StructuralError("magnitude must be finite")
 
 
 @dataclass

@@ -23,18 +23,6 @@ def _print_metrics(metrics):
         print(f"{key}: {value}")
 
 
-def cmd_simulate(args):
-    scenario = load_scenario(args.scenario)
-    model = scenario.build_model()
-    controller = factory.build_controller(scenario, model=model)
-    traj = harness.run_episode(scenario, controller, model=model)
-    if args.out:
-        harness.write_trajectory_csv(traj, args.out, model)
-        print(f"trajectory written to {args.out}")
-    _print_metrics(harness.compute_metrics(traj, model))
-    return 0
-
-
 def cmd_train(args):
     scenario = load_scenario(args.scenario)
     hyper = dqn.HyperParams()
@@ -52,7 +40,8 @@ def cmd_train(args):
     return 0
 
 
-def cmd_evaluate(args):
+def cmd_run(args):
+    """simulate (the scenario's own controller) and evaluate (--controller)."""
     scenario = load_scenario(args.scenario)
     model = scenario.build_model()
     controller = factory.build_controller(scenario, spec=args.controller,
@@ -102,6 +91,14 @@ def cmd_tune_pid(args):
     return 0
 
 
+def _seed(text):
+    """An argparse type: a seed is an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="agcsim",
@@ -111,12 +108,12 @@ def build_parser():
     p = sub.add_parser("simulate", help="run the scenario's own controller")
     p.add_argument("scenario")
     p.add_argument("--out", help="trajectory CSV path")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_run, controller=None)
 
     p = sub.add_parser("train", help="train a DQN controller")
     p.add_argument("scenario", help="base scenario defining grid and timing")
     p.add_argument("--episodes", type=int, default=500)
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_seed,
                    help="training seed (default: the scenario's seed)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", help="training log CSV path")
@@ -127,7 +124,7 @@ def build_parser():
     p.add_argument("--controller", required=True,
                    help="pid | lqr | mpc | zero | dqn:<checkpoint>")
     p.add_argument("--out", help="trajectory CSV path")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run several controllers side by side")
     p.add_argument("scenario")

@@ -116,9 +116,10 @@ def zoh_discretize(A, B, h):
     return Ad, Bd
 
 
-# solve_dare stops once no entry of P moves by DARE_TOL in one iteration and
-# gives up when P still moves after DARE_MAX_ITER iterations, rounded up to a
-# power of two (the doubling sees the iterates 1, 2, 4, 8, ...).
+# solve_dare stops once no entry of P moves by DARE_TOL * max(1, max|P|) in
+# one iteration and gives up when P still moves after DARE_MAX_ITER
+# iterations, rounded up to a power of two (the doubling sees the iterates
+# 1, 2, 4, 8, ...).
 DARE_TOL = 1e-12
 DARE_MAX_ITER = 100_000
 
@@ -165,13 +166,18 @@ def riccati_doubling(Ad, Bd, Q, R):
         G = 0.5 * (G + G.T)
 
 
+def _moved(step, P):
+    """Largest entry of a step to P, relative to max(1, max|P|)."""
+    return np.max(np.abs(step)) / max(1.0, np.max(np.abs(P)))
+
+
 def solve_dare(Ad, Bd, Q, R):
     """Discrete algebraic Riccati equation, iterated from P=Q.
 
     The iterates 1, 2, 4, ... come from riccati_doubling, at most
     DARE_MAX_ITER.bit_length() updates (2^17 >= 100 000 steps), until no
-    entry moves by DARE_TOL.  Single Riccati steps then polish P until one
-    moves no entry by DARE_TOL.
+    entry moves by DARE_TOL * max(1, max|P|).  Single Riccati steps then
+    polish P until one passes the same test.
 
     Returns (P, K) with the control law u = -K x.
     """
@@ -182,7 +188,7 @@ def solve_dare(Ad, Bd, Q, R):
     doubling = riccati_doubling(Ad, Bd, Q, R)
     H = next(doubling)
     for H_next in itertools.islice(doubling, DARE_MAX_ITER.bit_length()):
-        moved = np.max(np.abs(H_next - H))
+        moved = _moved(H_next - H, Q + H_next)
         H = H_next
         if moved < DARE_TOL or not np.isfinite(moved):
             break
@@ -190,7 +196,7 @@ def solve_dare(Ad, Bd, Q, R):
         P = Q + H
         for _ in range(DARE_MAX_ITER):
             P_next, _ = riccati_step(Ad, Bd, Q, R, P)
-            if np.max(np.abs(P_next - P)) < DARE_TOL:
+            if _moved(P_next - P, P_next) < DARE_TOL:
                 return P_next, riccati_step(Ad, Bd, Q, R, P_next)[1]
             P = P_next
     raise ConvergenceError(

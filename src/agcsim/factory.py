@@ -4,6 +4,11 @@ from . import controllers, dqn
 from .errors import ScenarioError
 
 
+def _given(spec, keys):
+    """The keys spec sets, so the builder's own defaults fill the rest."""
+    return {key: spec[key] for key in keys if key in spec}
+
+
 def build_controller(scenario, spec=None, model=None):
     """Instantiate the controller a scenario (or override spec) asks for.
 
@@ -30,15 +35,11 @@ def build_controller(scenario, spec=None, model=None):
         return controllers.ZeroController(model.n_areas)
     if ctype == "pid":
         gains = controllers.PidGains(
-            kp=spec.get("kp", 0.0),
-            ki=spec.get("ki", 0.0),
-            kd=spec.get("kd", 0.0),
-            deriv_filter=spec.get("deriv_filter", 50.0))
+            **_given(spec, ("kp", "ki", "kd", "deriv_filter")))
         return controllers.PidController(model.beta, gains, period)
     if ctype in ("lqr", "mpc"):
-        Q, R = controllers.default_weights(model, **{
-            key: spec[key] for key in ("q_freq", "q_tie", "r_weight")
-            if key in spec})
+        Q, R = controllers.default_weights(
+            model, **_given(spec, ("q_freq", "q_tie", "r_weight")))
         if ctype == "lqr":
             return controllers.LqrController(model, period, Q=Q, R=R)
         return controllers.MpcController(model, period, Q=Q, R=R,

@@ -6,7 +6,7 @@ Format (key = value lines, # comments, [section] blocks), version 1:
     horizon = 60.0          # seconds, integer multiple of control_period
     plant_step = 0.01       # RK4 step h, seconds
     control_period = 0.1    # controller rate, integer multiple of plant_step
-    seed = 0                # default seed of `agcsim train`
+    seed = 0                # default seed of `agcsim train`, >= 0
     command_limit = 0.5     # plant-side saturation, p.u.
 
     [area 1]                # 1-based, contiguous; omit for the default
@@ -31,22 +31,26 @@ Format (key = value lines, # comments, [section] blocks), version 1:
     channel = frequency_sensor   # | tieline_sensor | control_signal
     area = 2
     magnitude = 0.01        # p.u., or p.u./s for ramp
-    start = 5.0
+    start = 5.0             # >= 0
     duration = 2.0          # pulse only
 
     [controller]
     type = pid              # pid | lqr | mpc | dqn | zero
     ...                     # type-specific keys, see below
 
-Unknown keys and unknown sections are errors (no silent typo acceptance).
+Unknown sections and unknown, repeated or missing required keys are errors
+at their line (no silent typo acceptance).  Every number must be finite.  A
+value the object it builds rejects (an AreaParams, a tie coefficient, a
+LoadEvent, an AttackSignal) is an error at its section's line; a bad
+[controller] number is one at its key's line.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attacks import AttackSignal, InjectionPoint, ATTACK_KINDS, CHANNELS
+from .attacks import AttackSignal, InjectionPoint
 from .dynamics import (AreaParams, LfcModel, TieTopology, DEFAULT_P_C_MAX,
                        two_area_benchmark)
 from .errors import ScenarioError, StructuralError
@@ -54,16 +58,7 @@ from .errors import ScenarioError, StructuralError
 FORMAT_VERSION = 1
 
 CONTROLLER_TYPES = ("pid", "lqr", "mpc", "dqn", "zero")
-
-# Area keys -> AreaParams field names (defaults are the benchmark values).
-_AREA_KEYS = {
-    "inertia": "inertia",
-    "damping": "damping",
-    "droop": "droop",
-    "governor_tc": "governor_tc",
-    "turbine_tc": "turbine_tc",
-    "freq_bias": "freq_bias",
-}
+LOAD_KINDS = ("step", "ramp")
 
 _CONTROLLER_KEYS = {
     "pid": {"kp", "ki", "kd", "deriv_filter"},
@@ -86,7 +81,7 @@ _CONTROLLER_BOUNDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadEvent:
     """One load disturbance: a step offset or a ramp starting at a time."""
 
@@ -94,6 +89,12 @@ class LoadEvent:
     kind: str          # "step" or "ramp"
     magnitude: float   # p.u. (step) or p.u./s (ramp)
     start: float
+
+    def __post_init__(self):
+        if self.kind not in LOAD_KINDS:
+            raise StructuralError(f"unknown load kind {self.kind!r}")
+        if not (math.isfinite(self.magnitude) and math.isfinite(self.start)):
+            raise StructuralError("load magnitude and start must be finite")
 
 
 def load_profile(events, n_areas, t):
@@ -151,25 +152,18 @@ class Scenario:
         if not _is_multiple(self.horizon, self.control_period):
             raise ScenarioError(
                 "horizon must be a positive integer multiple of control_period")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
         n = len(self.areas)
-        try:
-            TieTopology(n, self.tie_coefficients)
-        except StructuralError as exc:
-            raise ScenarioError(str(exc)) from None
+        _checked(None, TieTopology, n, self.tie_coefficients)
         for ev in self.loads:
             if not 0 <= ev.area < n:
                 raise ScenarioError(f"load event targets missing area {ev.area + 1}")
-            if ev.kind not in ("step", "ramp"):
-                raise ScenarioError(f"unknown load kind {ev.kind!r}")
-            if not (np.isfinite(ev.magnitude) and np.isfinite(ev.start)):
-                raise ScenarioError("load magnitude and start must be finite")
         for atk in self.attacks:
             if atk.target.area >= n:
                 raise ScenarioError(
                     f"attack targets missing area {atk.target.area + 1}")
-        ctype = self.controller.get("type")
-        if ctype not in CONTROLLER_TYPES:
-            raise ScenarioError(f"unknown controller type {ctype!r}")
+        _controller_type(self.controller.get("type"))
 
     @property
     def steps_per_control(self):
@@ -196,7 +190,8 @@ def _is_multiple(value, unit):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: it tokenizes, converts each value by its key's parser and reports
+# lines.  The objects the values build check their own domains.
 # ---------------------------------------------------------------------------
 
 def _parse_number(raw, key, line):
@@ -213,12 +208,29 @@ def _parse_int(raw, key, line):
     return int(val)
 
 
-def _checked(line, build, *args, **kwargs):
-    """build(*args, **kwargs), with a StructuralError reported at line."""
-    try:
-        return build(*args, **kwargs)
-    except StructuralError as exc:
-        raise ScenarioError(str(exc), line) from None
+def _parse_text(raw, key, line):
+    return raw
+
+
+def _parse_area(raw, key, line):
+    """A 1-based area index as the file writes it, returned 0-based."""
+    idx = _parse_int(raw, key, line)
+    if idx < 1:
+        raise ScenarioError("area indices are 1-based", line)
+    return idx - 1
+
+
+def _parse_version(raw, key, line):
+    if _parse_int(raw, key, line) != FORMAT_VERSION:
+        raise ScenarioError(f"unsupported format_version {raw}", line)
+    return FORMAT_VERSION
+
+
+def _controller_type(ctype, key=None, line=None):
+    """ctype, if it names a controller type; a value parser too."""
+    if ctype not in CONTROLLER_TYPES:
+        raise ScenarioError(f"unknown controller type {ctype!r}", line)
+    return ctype
 
 
 def _controller_number(raw, key, line):
@@ -237,11 +249,43 @@ def _controller_number(raw, key, line):
     return val
 
 
+# The keys of the top level and of each section, each with its value parser.
+_TOP_KEYS = {
+    "format_version": _parse_version,
+    "horizon": _parse_number,
+    "plant_step": _parse_number,
+    "control_period": _parse_number,
+    "command_limit": _parse_number,
+    "seed": _parse_int,
+    "controller": _controller_type,
+}
+_AREA_KEYS = {f.name: _parse_number for f in fields(AreaParams)}
+_TIE_KEYS = {"coefficient": _parse_number}
+_LOAD_KEYS = {"area": _parse_area, "kind": _parse_text,
+              "magnitude": _parse_number, "start": _parse_number}
+_ATTACK_KEYS = {**_LOAD_KEYS, "channel": _parse_text,
+                "duration": _parse_number}
+_CONTROLLER_VALUES = {
+    **dict.fromkeys(set().union(*_CONTROLLER_KEYS.values()),
+                    _controller_number),
+    "type": _controller_type,
+    "checkpoint": _parse_text,
+}
+
+
+def _checked(line, build, *args, **kwargs):
+    """build(*args, **kwargs), with a StructuralError reported at line."""
+    try:
+        return build(*args, **kwargs)
+    except StructuralError as exc:
+        raise ScenarioError(str(exc), line) from None
+
+
 def _split_sections(text):
-    """Tokenize into (top_level_pairs, sections); each entry keeps its line."""
-    top = []
-    sections = []
-    current = None
+    """Tokenize into sections, the top level first (name None); each section
+    and each of its key = value pairs keeps its line."""
+    current = {"name": None, "args": [], "line": None, "pairs": []}
+    sections = [current]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -259,180 +303,102 @@ def _split_sections(text):
         if "=" not in line:
             raise ScenarioError(f"expected key = value, got {line!r}", lineno)
         key, _, value = line.partition("=")
-        entry = (key.strip(), value.strip(), lineno)
-        if current is None:
-            top.append(entry)
-        else:
-            current["pairs"].append(entry)
-    return top, sections
+        current["pairs"].append((key.strip(), value.strip(), lineno))
+    return sections
 
 
-def _section_dict(section, allowed):
-    out = {}
-    for key, value, lineno in section["pairs"]:
-        if key not in allowed:
-            raise ScenarioError(
-                f"unknown key {key!r} in [{section['name']}] section", lineno)
-        if key in out:
-            raise ScenarioError(f"duplicate key {key!r}", lineno)
-        out[key] = (value, lineno)
-    return out
+def _values(section, keys, required=()):
+    """{key: value} of a section's pairs, each value converted by its parser
+    in keys.  An unknown, repeated or missing required key is an error."""
+    name = section["name"]
+    values = {}
+    for key, raw, line in section["pairs"]:
+        if key not in keys:
+            where = f" in [{name}] section" if name else ""
+            raise ScenarioError(f"unknown key {key!r}{where}", line)
+        if key in values:
+            raise ScenarioError(f"duplicate key {key!r}", line)
+        values[key] = keys[key](raw, key, line)
+    for key in required:
+        if key not in values:
+            raise ScenarioError(f"[{name}] requires {key!r}", section["line"])
+    return values
+
+
+def _header_areas(section, count):
+    """The count 0-based areas a section header names."""
+    name, line = section["name"], section["line"]
+    if len(section["args"]) != count:
+        raise ScenarioError(f"[{name}] needs {count} area index"
+                            + ("es" if count > 1 else ""), line)
+    return [_parse_area(arg, f"{name} index", line) for arg in section["args"]]
 
 
 def parse_scenario(text):
     """Parse and fully validate a scenario file.  Raises ScenarioError."""
-    top, sections = _split_sections(text)
+    top, *sections = _split_sections(text)
+    kwargs = _values(top, _TOP_KEYS)
+    kwargs.pop("format_version", None)
+    if "controller" in kwargs:
+        kwargs["controller"] = {"type": kwargs["controller"]}
 
-    kwargs = {}
-    controller = None
-    for key, value, lineno in top:
-        if key == "format_version":
-            if _parse_int(value, key, lineno) != FORMAT_VERSION:
-                raise ScenarioError(
-                    f"unsupported format_version {value}", lineno)
-        elif key == "horizon":
-            kwargs["horizon"] = _parse_number(value, key, lineno)
-        elif key == "plant_step":
-            kwargs["plant_step"] = _parse_number(value, key, lineno)
-        elif key == "control_period":
-            kwargs["control_period"] = _parse_number(value, key, lineno)
-        elif key == "command_limit":
-            kwargs["command_limit"] = _parse_number(value, key, lineno)
-        elif key == "seed":
-            kwargs["seed"] = _parse_int(value, key, lineno)
-        elif key == "controller":
-            controller = {"type": value}
-        else:
-            raise ScenarioError(f"unknown key {key!r}", lineno)
-
-    area_specs = {}
-    tie_specs = {}
-    loads = []
-    attack_specs = []
+    areas, ties, loads, attacks = {}, {}, [], []
     for sec in sections:
-        name = sec["name"]
+        name, line = sec["name"], sec["line"]
         if name == "area":
-            if len(sec["args"]) != 1:
-                raise ScenarioError("[area] needs one index", sec["line"])
-            idx = _parse_int(sec["args"][0], "area index", sec["line"])
-            if idx < 1:
-                raise ScenarioError("area indices are 1-based", sec["line"])
-            if idx in area_specs:
-                raise ScenarioError(f"area {idx} defined twice", sec["line"])
-            pairs = _section_dict(sec, set(_AREA_KEYS))
-            fields = {_AREA_KEYS[k]: _parse_number(v, k, ln)
-                      for k, (v, ln) in pairs.items()}
-            area_specs[idx] = _checked(sec["line"], AreaParams, **fields)
+            (i,) = _header_areas(sec, 1)
+            if i in areas:
+                raise ScenarioError(f"area {i + 1} defined twice", line)
+            areas[i] = _checked(line, AreaParams, **_values(sec, _AREA_KEYS))
         elif name == "tie":
-            if len(sec["args"]) != 2:
-                raise ScenarioError("[tie] needs two area indices", sec["line"])
-            i = _parse_int(sec["args"][0], "tie index", sec["line"])
-            j = _parse_int(sec["args"][1], "tie index", sec["line"])
-            if i < 1 or j < 1 or i == j:
-                raise ScenarioError("tie needs two distinct 1-based areas",
-                                    sec["line"])
-            pairs = _section_dict(sec, {"coefficient"})
-            if "coefficient" not in pairs:
-                raise ScenarioError("[tie] requires a coefficient", sec["line"])
-            coef = _parse_number(pairs["coefficient"][0], "coefficient",
-                                 pairs["coefficient"][1])
-            _checked(sec["line"], TieTopology.check_coefficients, coef)
-            key = (min(i, j) - 1, max(i, j) - 1)
-            if key in tie_specs:
-                raise ScenarioError(f"tie {i}-{j} defined twice", sec["line"])
-            tie_specs[key] = coef
+            i, j = sorted(_header_areas(sec, 2))
+            if i == j:
+                raise ScenarioError("tie needs two distinct areas", line)
+            if (i, j) in ties:
+                raise ScenarioError(f"tie {i + 1}-{j + 1} defined twice", line)
+            coef = _values(sec, _TIE_KEYS, ("coefficient",))["coefficient"]
+            _checked(line, TieTopology.check_coefficients, coef)
+            ties[i, j] = coef
         elif name == "load":
-            pairs = _section_dict(sec, {"area", "kind", "magnitude", "start"})
-            area = _parse_int(pairs["area"][0], "area", pairs["area"][1]) \
-                if "area" in pairs else 1
-            kind = pairs["kind"][0] if "kind" in pairs else "step"
-            if kind not in ("step", "ramp"):
-                raise ScenarioError(f"unknown load kind {kind!r}",
-                                    pairs["kind"][1])
-            if "magnitude" not in pairs:
-                raise ScenarioError("[load] requires a magnitude", sec["line"])
-            mag = _parse_number(pairs["magnitude"][0], "magnitude",
-                                pairs["magnitude"][1])
-            start = _parse_number(pairs["start"][0], "start",
-                                  pairs["start"][1]) if "start" in pairs else 0.0
-            loads.append(LoadEvent(area - 1, kind, mag, start))
+            v = _values(sec, _LOAD_KEYS, ("magnitude",))
+            loads.append(_checked(line, LoadEvent, v.get("area", 0),
+                                  v.get("kind", "step"), v["magnitude"],
+                                  v.get("start", 0.0)))
         elif name == "attack":
-            pairs = _section_dict(
-                sec, {"kind", "channel", "area", "magnitude", "start",
-                      "duration"})
-            for req in ("kind", "channel", "area", "magnitude"):
-                if req not in pairs:
-                    raise ScenarioError(f"[attack] requires {req!r}",
-                                        sec["line"])
-            kind = pairs["kind"][0]
-            if kind not in ATTACK_KINDS:
-                raise ScenarioError(f"unknown attack kind {kind!r}",
-                                    pairs["kind"][1])
-            channel = pairs["channel"][0]
-            if channel not in CHANNELS:
-                raise ScenarioError(f"unknown channel {channel!r}",
-                                    pairs["channel"][1])
-            area = _parse_int(pairs["area"][0], "area", pairs["area"][1])
-            if area < 1:
-                raise ScenarioError("area indices are 1-based",
-                                    pairs["area"][1])
-            mag = _parse_number(pairs["magnitude"][0], "magnitude",
-                                pairs["magnitude"][1])
-            start = _parse_number(pairs["start"][0], "start",
-                                  pairs["start"][1]) if "start" in pairs else 0.0
-            duration = _parse_number(pairs["duration"][0], "duration",
-                                     pairs["duration"][1]) \
-                if "duration" in pairs else 0.0
-            attack_specs.append(
-                (AttackSignal(kind, mag, start,
-                              InjectionPoint(channel, area - 1),
-                              duration=duration), sec["line"]))
+            v = _values(sec, _ATTACK_KEYS,
+                        ("kind", "channel", "area", "magnitude"))
+            target = _checked(line, InjectionPoint, v["channel"], v["area"])
+            attacks.append(_checked(line, AttackSignal, v["kind"],
+                                    v["magnitude"], v.get("start", 0.0),
+                                    target, duration=v.get("duration", 0.0)))
         elif name == "controller":
-            allowed = {"type"} | set().union(*_CONTROLLER_KEYS.values())
-            pairs = _section_dict(sec, allowed)
-            if "type" not in pairs:
-                raise ScenarioError("[controller] requires a type", sec["line"])
-            ctype = pairs["type"][0]
-            if ctype not in CONTROLLER_TYPES:
-                raise ScenarioError(f"unknown controller type {ctype!r}",
-                                    pairs["type"][1])
-            controller = {"type": ctype}
-            for key, (value, lineno) in pairs.items():
-                if key == "type":
-                    continue
-                if key not in _CONTROLLER_KEYS[ctype]:
+            controller = _values(sec, _CONTROLLER_VALUES, ("type",))
+            ctype = controller["type"]
+            for key, _, lineno in sec["pairs"]:
+                if key != "type" and key not in _CONTROLLER_KEYS[ctype]:
                     raise ScenarioError(
                         f"key {key!r} does not apply to controller "
                         f"type {ctype!r}", lineno)
-                if key == "checkpoint":
-                    controller[key] = value
-                else:
-                    controller[key] = _controller_number(value, key, lineno)
+            kwargs["controller"] = controller
         else:
-            raise ScenarioError(f"unknown section [{name}]", sec["line"])
+            raise ScenarioError(f"unknown section [{name}]", line)
 
-    if area_specs:
-        n = max(area_specs)
-        missing = [str(i) for i in range(1, n + 1) if i not in area_specs]
+    if areas:
+        n = max(areas) + 1
+        missing = [str(i + 1) for i in range(n) if i not in areas]
         if missing:
             raise ScenarioError("area indices must be contiguous from 1; "
                                 "missing " + ", ".join(missing))
-        areas = [area_specs[i] for i in range(1, n + 1)]
         coef = np.zeros((n, n))
-        for (i, j), c in tie_specs.items():
-            if i >= n or j >= n:
-                raise ScenarioError(f"tie references missing area {max(i, j) + 1}")
+        for (i, j), c in ties.items():
+            if j >= n:
+                raise ScenarioError(f"tie references missing area {j + 1}")
             coef[i, j] = coef[j, i] = c
-        kwargs["areas"] = areas
+        kwargs["areas"] = [areas[i] for i in range(n)]
         kwargs["tie_coefficients"] = coef
-    elif tie_specs:
+    elif ties:
         raise ScenarioError("[tie] sections require explicit [area] sections")
-
-    kwargs["loads"] = loads
-    kwargs["attacks"] = [atk for atk, _ in attack_specs]
-    if controller is not None:
-        kwargs["controller"] = controller
-    return Scenario(**kwargs)
+    return Scenario(loads=loads, attacks=attacks, **kwargs)
 
 
 def load_scenario(path):

@@ -56,6 +56,14 @@ class TestSignalValue:
         with pytest.raises(StructuralError):
             AttackSignal("step", 0.01, 0.0, InjectionPoint("bogus", 0))
 
+    @pytest.mark.parametrize("field", ["magnitude", "start", "duration"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        fields = dict(kind="pulse", magnitude=0.01, start=1.0, duration=2.0)
+        fields[field] = value
+        with pytest.raises(StructuralError, match="finite"):
+            freq_attack(**fields)
+
 
 class TestCorruptMeasurements:
     def test_empty_is_identity(self):

@@ -26,8 +26,12 @@ type = zero
 """
 
 
-# Bad [controller], [area] and [tie] values, each with the line the scenario
-# error must name: the key's line in [controller], the section's otherwise.
+# An [attack] section on line 2, its kind and magnitude still to add.
+ATTACK = "horizon = 10\n[attack]\nchannel = control_signal\narea = 1\n"
+
+# Bad [controller], [area], [tie], [attack] and [load] values, each with the
+# line the scenario error must name: the key's line in [controller], the
+# section's otherwise.
 BAD_SECTION_VALUES = [
     ("[controller]\ntype = lqr\nr_weight = -1\n", 3),
     ("[controller]\ntype = lqr\nr_weight = nan\n", 3),
@@ -43,6 +47,12 @@ BAD_SECTION_VALUES = [
     ("[area 1]\n[area 2]\ndamping = nan\n", 2),
     ("[area 1]\n[area 2]\n[tie 1 2]\ncoefficient = nan\n", 3),
     ("[area 1]\n[area 2]\n[tie 1 2]\ncoefficient = -0.1\n", 3),
+    (f"{ATTACK}kind = pulse\nmagnitude = 0.01\n", 2),     # no duration
+    (f"{ATTACK}kind = step\nmagnitude = nan\n", 2),
+    (f"{ATTACK}kind = step\nmagnitude = 0.01\nstart = -1\n", 2),
+    (f"{ATTACK}kind = step\nmagnitude = 0.01\nstart = nan\n", 2),
+    (f"{ATTACK}kind = pulse\nmagnitude = 0.01\nduration = nan\n", 2),
+    ("horizon = 10\n[load]\nmagnitude = 0.01\nkind = bogus\n", 2),
 ]
 
 
@@ -104,6 +114,7 @@ class TestScenarioValidation:
         "horizon = 0.05\n",          # shorter than control_period = 0.1
         "horizon = 1.05\n",          # 10.5 control periods
         "seed = inf\n",
+        "seed = -1\n",
         "[load]\narea = nan\nmagnitude = 0.01\n",
         "[area 1]\n[area 2]\n",    # no tie: the grid is not connected
         *(text for text, _ in BAD_SECTION_VALUES),
@@ -189,6 +200,17 @@ class TestTrainCli:
                          "--checkpoint", str(ckpt), *extra]) == 0
         assert c1.read_bytes() == c2.read_bytes()
         assert c1.read_bytes() != c3.read_bytes()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        sc = tmp_path / "sc.txt"
+        sc.write_text("horizon = 1.0\n")
+        ckpt = tmp_path / "model.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(sc), "--episodes", "1", "--seed", "-1",
+                  "--checkpoint", str(ckpt)])
+        assert exc.value.code == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_train_determinism(self, tmp_path, capsys):
         sc = tmp_path / "sc.txt"

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from agcsim.errors import ScenarioError
+from agcsim.errors import ScenarioError, StructuralError
 from agcsim.scenario import (LoadEvent, Scenario, load_profile,
                              load_scenario, parse_scenario)
 
@@ -134,6 +134,18 @@ class TestEvents:
                         else ev.magnitude * dt
             assert np.array_equal(load_profile(events, 2, tk), want)
             assert np.array_equal(grid[k], want)
+
+    @pytest.mark.parametrize("field", ["magnitude", "start"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_event_rejects_non_finite(self, field, value):
+        fields = dict(area=0, kind="step", magnitude=0.01, start=1.0)
+        fields[field] = value
+        with pytest.raises(StructuralError, match="finite"):
+            LoadEvent(**fields)
+
+    def test_load_event_rejects_unknown_kind(self):
+        with pytest.raises(StructuralError, match="unknown load kind"):
+            LoadEvent(0, "bogus", 0.01, 1.0)
 
     def test_attack_section(self):
         text = ("[attack]\nkind = pulse\nchannel = tieline_sensor\n"
