@@ -91,12 +91,14 @@ def cmd_tune_pid(args):
     return 0
 
 
-def _seed(text):
-    """An argparse type: a seed is an integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"seed must be an integer >= 0, got {text!r}")
-    return int(text)
+def _integer(name, minimum):
+    """An argparse type: `name` is an unsigned integer >= minimum."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser():
@@ -112,8 +114,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a DQN controller")
     p.add_argument("scenario", help="base scenario defining grid and timing")
-    p.add_argument("--episodes", type=int, default=500)
-    p.add_argument("--seed", type=_seed,
+    p.add_argument("--episodes", type=_integer("episodes", 1), default=500)
+    p.add_argument("--seed", type=_integer("seed", 0),
                    help="training seed (default: the scenario's seed)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", help="training log CSV path")

@@ -10,12 +10,11 @@ Instances own mutable state (integrators, model estimates) and must not be
 shared across concurrent episodes; distinct instances are independent.
 """
 
-import copy
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (ConvergenceError, NumericError, StructuralError,
                      TuningError)
@@ -98,6 +97,24 @@ class PidController:
 # ---------------------------------------------------------------------------
 # Discretization and LQR synthesis
 # ---------------------------------------------------------------------------
+
+def expm(M):
+    """Matrix exponential by scaling and squaring (Moler & Van Loan, SIAM
+    Review 45, 2003): the degree-18 Taylor sum of M / 2^s, with s the least
+    that brings its 1-norm to <= 1/2 (remainder < 1e-22), squared s times.
+    A non-finite entry gives a non-finite result, which zoh_discretize rejects.
+    """
+    M = np.asarray(M, dtype=float)
+    frac, exp2 = np.frexp(np.abs(M).sum(axis=0).max(initial=0.0))
+    s = max(0, int(exp2) + (frac > 0.5))
+    X, eye = np.ldexp(M, -s), np.eye(len(M))
+    E = eye
+    for k in range(18, 0, -1):
+        E = eye + X @ E / k
+    for _ in range(s):
+        E = E @ E
+    return E
+
 
 def zoh_discretize(A, B, h):
     """Zero-order-hold discretization via the augmented matrix exponential."""
@@ -371,11 +388,9 @@ def tune_pid(scenario, kp_grid=None, ki_grid=None):
     if ki_grid is None:
         ki_grid = np.logspace(-1.5, 0.5, 9)
 
-    tuning = copy.deepcopy(scenario)
-    tuning.attacks = []
-    if not tuning.loads:
-        tuning.loads = [LoadEvent(area=0, kind="step", magnitude=0.01,
-                                  start=5.0)]
+    step = LoadEvent(area=0, kind="step", magnitude=0.01, start=5.0)
+    tuning = dataclasses.replace(scenario, attacks=[],
+                                 loads=scenario.loads or [step])
     model = tuning.build_model()
 
     # Candidates in Ki-major, then Kp order, the order ties break in.

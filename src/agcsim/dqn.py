@@ -8,6 +8,7 @@ hard-synced target network.  Everything is driven by one seeded generator,
 so a run is bit-reproducible.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,12 +156,8 @@ class ActionTable:
         self.span = span
         self.level_values = np.linspace(-span, span, levels)
         self.size = levels ** n_areas
-        self._table = np.empty((self.size, n_areas))
-        for idx in range(self.size):
-            rem = idx
-            for area in range(n_areas - 1, -1, -1):
-                self._table[idx, area] = self.level_values[rem % levels]
-                rem //= levels
+        self._table = np.array(list(
+            itertools.product(self.level_values, repeat=n_areas)))
         self._table.setflags(write=False)
 
     def commands(self, index):
@@ -375,7 +372,6 @@ def train(scenario, hyper=None, episodes=500, seed=0):
         obs = observation(frame, hyper.obs_scale)
         ep_return = 0.0
         losses = []
-        eps = hyper.epsilon(global_step, total_steps)
         for step in range(n_ctrl):
             t = step * dt
             eps = hyper.epsilon(global_step, total_steps)

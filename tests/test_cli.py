@@ -212,6 +212,18 @@ class TestTrainCli:
         assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("episodes", ["0", "-1", "1.5"])
+    def test_episodes_below_one_rejected(self, tmp_path, capsys, episodes):
+        sc = tmp_path / "sc.txt"
+        sc.write_text("horizon = 1.0\n")
+        ckpt = tmp_path / "model.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(sc), "--episodes", episodes,
+                  "--checkpoint", str(ckpt)])
+        assert exc.value.code == 2
+        assert "episodes must be an integer >= 1" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_train_determinism(self, tmp_path, capsys):
         sc = tmp_path / "sc.txt"
         sc.write_text("horizon = 1.0\n")

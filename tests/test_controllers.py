@@ -2,6 +2,10 @@
 MPC/LQR equivalence, and the PID tuner."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +18,10 @@ from agcsim.attacks import (ATTACK_KINDS, CHANNELS, AttackSignal,
                             InjectionPoint, MeasurementFrame)
 from agcsim.controllers import (LqrController, MpcController, PidController,
                                 PidGains, StateEstimator, ZeroController,
-                                dare_residual, default_weights, mpc_gain,
-                                mpc_step, riccati_doubling, riccati_step,
-                                solve_dare, tune_pid, zoh_discretize)
+                                dare_residual, default_weights, expm,
+                                mpc_gain, mpc_step, riccati_doubling,
+                                riccati_step, solve_dare, tune_pid,
+                                zoh_discretize)
 from agcsim.dynamics import (AreaParams, LfcModel, TieTopology,
                              two_area_benchmark)
 from agcsim.errors import (ConvergenceError, InstabilityError, NumericError,
@@ -85,6 +90,48 @@ class TestZohDiscretize:
         Ad1, _ = zoh_discretize(A, B, 0.1)
         Ad2, _ = zoh_discretize(A, B, 0.2)
         assert np.max(np.abs(Ad1 @ Ad1 - Ad2)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NumericError):
+            zoh_discretize(np.array([[0.0, bad], [0.0, 0.0]]),
+                           np.array([[0.0], [1.0]]), 0.1)
+
+
+@st.composite
+def norm_bounded_matrices(draw):
+    """Square matrices of dim <= 10 with 1-norm <= 10."""
+    n = draw(st.integers(1, 10))
+    M = draw(arrays(np.float64, (n, n), elements=st.floats(
+        -1.0, 1.0).map(lambda v: round(v, 3))))
+    norm = np.abs(M).sum(axis=0).max()
+    return M * (draw(st.floats(0.0, 10.0)) / norm) if norm > 0 else M
+
+
+class TestExpm:
+    def test_zero_matrix_gives_identity(self):
+        assert np.array_equal(expm(np.zeros((4, 4))), np.eye(4))
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 3.0, 10.0])
+    def test_rotation(self, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        E = expm(theta * np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert np.max(np.abs(E - [[c, -s], [s, c]])) < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=norm_bounded_matrices())
+    def test_agrees_with_scipy(self, M):
+        expected = scipy.linalg.expm(M)
+        tol = 1e-11 * max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(expm(M) - expected)) < tol
+
+    def test_package_imports_without_scipy(self):
+        code = ("import sys; import agcsim, agcsim.cli, agcsim.controllers, "
+                "agcsim.dqn, agcsim.factory; print('scipy' in sys.modules)")
+        src = str(Path(controllers.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout.split() == ["False"], run.stderr
 
 
 class TestSolveDare:
