@@ -341,6 +341,11 @@ def train(scenario, hyper=None, episodes=500, seed=0):
     random attack; the agent only ever sees attacked measurements while the
     reward is computed from the true state.  Returns (network, log) where
     the log holds one dict per episode.  Fully deterministic given seed.
+
+    The plant advances one control period per LfcModel.step_period call,
+    with the command saturated as LfcModel.inputs does: the bits of one
+    rk4_step per plant step, which the acceptance gate's DQN criteria
+    depend on (run_episode's lifted period map rounds differently).
     """
     if hyper is None:
         hyper = HyperParams()
@@ -377,9 +382,8 @@ def train(scenario, hyper=None, episodes=500, seed=0):
             eps = hyper.epsilon(global_step, total_steps)
             action = select_action(net.forward(obs), eps, rng)
             applied = corrupt_control(table.commands(action), attacks, t)
-            for sub in range(ratio):
-                inputs = model.inputs(applied, load_grid[step, sub])
-                state = model.rk4_step(state, inputs, h)
+            p_c = np.clip(applied, -model.p_c_max, model.p_c_max)
+            state = model.step_period(state, p_c, load_grid[step], h)
             if np.max(np.abs(state)) > DIVERGENCE_LIMIT:
                 raise InstabilityError(
                     f"training episode {episode} diverged at step {step}",

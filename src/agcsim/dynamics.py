@@ -162,7 +162,8 @@ class LfcModel:
                 inc[i, k] = 1.0
                 inc[j, k] = -1.0
         self._incidence = inc
-        self._tie_coef = tcoef
+        # 2*pi*T_ij, rounded as 2.0 * np.pi * T_ij * x evaluates it.
+        self._tie_gain = (2.0 * np.pi) * tcoef
 
     # -- state accessors ---------------------------------------------------
 
@@ -202,24 +203,44 @@ class LfcModel:
 
     # -- dynamics ----------------------------------------------------------
 
-    def derivatives(self, state, inputs):
-        """Time derivative of the state under the given held inputs."""
+    def _rates(self, x, p_c, p_load, out):
+        """Unchecked time derivative of state x under the held command p_c
+        (already saturated) and load p_load, written into out.
+
+        derivatives() and step_period() both run it, so the oracle tests of
+        derivatives() and rk4_step() check the arithmetic training runs.
+        """
+        n = self.n_areas
+        df, pm, pv = x[:n], x[n:2 * n], x[2 * n:3 * n]
+        ddf, dpm, dpv = out[:n], out[n:2 * n], out[2 * n:3 * n]
+        np.subtract(pm, p_load, out=ddf)
+        ddf -= self._d * df
+        ddf -= x[3 * n:] @ self._incidence.T
+        ddf /= self._m
+        np.subtract(pv, pm, out=dpm)
+        dpm /= self._tt
+        np.subtract(p_c, df / self._r, out=dpv)
+        dpv -= pv
+        dpv /= self._tg
+        np.multiply(self._tie_gain, df @ self._incidence, out=out[3 * n:])
+        return out
+
+    def _checked_state(self, state):
         state = np.asarray(state, dtype=float)
         if state.shape != (self.dim,):
             raise StructuralError(
                 f"state must have shape ({self.dim},), got {state.shape}")
+        return state
+
+    def derivatives(self, state, inputs):
+        """Time derivative of the state under the given held inputs."""
+        state = self._checked_state(state)
         if inputs.p_c.shape != (self.n_areas,):
             raise StructuralError("inputs sized for a different grid")
         if not np.all(np.isfinite(state)):
             raise NumericError("non-finite state entry")
-        df = self.freq(state)
-        pm = self.mech(state)
-        pv = self.valve(state)
-        ddf = (pm - inputs.p_load - self._d * df - self.net_tie(state)) / self._m
-        dpm = (pv - pm) / self._tt
-        dpv = (inputs.p_c - df / self._r - pv) / self._tg
-        dtie = 2.0 * np.pi * self._tie_coef * (df @ self._incidence)
-        return np.concatenate([ddf, dpm, dpv, dtie])
+        return self._rates(state, inputs.p_c, inputs.p_load,
+                           np.empty(self.dim))
 
     def rk4_step(self, state, inputs, h):
         """One classical RK4 step with inputs held constant (zero-order hold)."""
@@ -233,6 +254,37 @@ class LfcModel:
         if not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite state after RK4 step of h={h}")
         return out
+
+    def step_period(self, state, p_c, loads, h):
+        """State after one RK4 step of size h per row of loads, shape
+        (steps, n), with the command p_c (already saturated) held.
+
+        Each step has the bits of rk4_step(state, inputs(p_c, load), h).
+        Shapes and the start state are checked once; every step's result
+        must be finite, else NumericError as from rk4_step.
+        """
+        if h <= 0:
+            raise StructuralError("step size must be positive")
+        x = self._checked_state(state)
+        p_c = np.asarray(p_c, dtype=float)
+        loads = np.asarray(loads, dtype=float)
+        n = self.n_areas
+        if p_c.shape != (n,) or loads.ndim != 2 or loads.shape[1] != n:
+            raise StructuralError(
+                f"command must have shape ({n},) and loads (steps, {n})")
+        if not np.isfinite(x).all():
+            raise NumericError("non-finite state entry")
+        half, sixth = 0.5 * h, h / 6.0
+        k1, k2, k3, k4 = np.empty((4, self.dim))
+        for p_load in loads:
+            self._rates(x, p_c, p_load, k1)
+            self._rates(x + half * k1, p_c, p_load, k2)
+            self._rates(x + half * k2, p_c, p_load, k3)
+            self._rates(x + h * k3, p_c, p_load, k4)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(x).all():
+                raise NumericError(f"non-finite state after RK4 step of h={h}")
+        return x
 
     def assemble_linear_model(self):
         """Explicit (A, B) with d(state)/dt = A@state + B@p_c - load_gain@p_load.

@@ -20,14 +20,18 @@ class ConvergenceError(AgcSimError):
 class ScenarioError(AgcSimError):
     """Scenario file cannot be parsed or validated.
 
-    Carries the offending line number when known.
+    Carries the offending line number when known.  An error found on the
+    values of a Scenario, which keep no lines, names in `keys` the values
+    at fault, most likely first, so the parser can report a line.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, keys=()):
+        self.reason = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.keys = keys
 
 
 class InstabilityError(AgcSimError):

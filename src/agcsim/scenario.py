@@ -138,31 +138,40 @@ class Scenario:
         self._validate()
 
     def _validate(self):
+        """Raise ScenarioError naming the values at fault (see its keys):
+        a field name, or loads[k] / attacks[k] for an event."""
         for name in ("horizon", "plant_step", "control_period",
                      "command_limit"):
             if not np.isfinite(getattr(self, name)):
-                raise ScenarioError(f"{name} must be finite")
+                raise ScenarioError(f"{name} must be finite", keys=(name,))
         if self.plant_step <= 0:
-            raise ScenarioError("plant_step must be positive")
+            raise ScenarioError("plant_step must be positive",
+                                keys=("plant_step",))
         if self.command_limit <= 0:
-            raise ScenarioError("command_limit must be positive")
+            raise ScenarioError("command_limit must be positive",
+                                keys=("command_limit",))
         if not _is_multiple(self.control_period, self.plant_step):
             raise ScenarioError(
-                "control_period must be a positive integer multiple of plant_step")
+                "control_period must be a positive integer multiple of plant_step",
+                keys=("control_period", "plant_step"))
         if not _is_multiple(self.horizon, self.control_period):
             raise ScenarioError(
-                "horizon must be a positive integer multiple of control_period")
+                "horizon must be a positive integer multiple of control_period",
+                keys=("horizon", "control_period"))
         if self.seed < 0:
-            raise ScenarioError("seed must be >= 0")
+            raise ScenarioError("seed must be >= 0", keys=("seed",))
         n = len(self.areas)
         _checked(None, TieTopology, n, self.tie_coefficients)
-        for ev in self.loads:
+        for k, ev in enumerate(self.loads):
             if not 0 <= ev.area < n:
-                raise ScenarioError(f"load event targets missing area {ev.area + 1}")
-        for atk in self.attacks:
+                raise ScenarioError(
+                    f"load event targets missing area {ev.area + 1}",
+                    keys=(f"loads[{k}]",))
+        for k, atk in enumerate(self.attacks):
             if atk.target.area >= n:
                 raise ScenarioError(
-                    f"attack targets missing area {atk.target.area + 1}")
+                    f"attack targets missing area {atk.target.area + 1}",
+                    keys=(f"attacks[{k}]",))
         _controller_type(self.controller.get("type"))
 
     @property
@@ -343,6 +352,8 @@ def parse_scenario(text):
         kwargs["controller"] = {"type": kwargs["controller"]}
 
     areas, ties, loads, attacks = {}, {}, [], []
+    # The line of each value Scenario._validate may name in an error.
+    lines = {key: line for key, _, line in top["pairs"]}
     for sec in sections:
         name, line = sec["name"], sec["line"]
         if name == "area":
@@ -361,6 +372,7 @@ def parse_scenario(text):
             ties[i, j] = coef
         elif name == "load":
             v = _values(sec, _LOAD_KEYS, ("magnitude",))
+            lines[f"loads[{len(loads)}]"] = line
             loads.append(_checked(line, LoadEvent, v.get("area", 0),
                                   v.get("kind", "step"), v["magnitude"],
                                   v.get("start", 0.0)))
@@ -368,6 +380,7 @@ def parse_scenario(text):
             v = _values(sec, _ATTACK_KEYS,
                         ("kind", "channel", "area", "magnitude"))
             target = _checked(line, InjectionPoint, v["channel"], v["area"])
+            lines[f"attacks[{len(attacks)}]"] = line
             attacks.append(_checked(line, AttackSignal, v["kind"],
                                     v["magnitude"], v.get("start", 0.0),
                                     target, duration=v.get("duration", 0.0)))
@@ -398,9 +411,23 @@ def parse_scenario(text):
         kwargs["tie_coefficients"] = coef
     elif ties:
         raise ScenarioError("[tie] sections require explicit [area] sections")
-    return Scenario(loads=loads, attacks=attacks, **kwargs)
+    try:
+        return Scenario(loads=loads, attacks=attacks, **kwargs)
+    except ScenarioError as exc:
+        line = next((lines[key] for key in exc.keys if key in lines), None)
+        if line is None:
+            raise
+        raise ScenarioError(exc.reason, line) from None
 
 
 def load_scenario(path):
+    """Parse the scenario file at path.  An error at no single line (an
+    unconnected grid, say) names the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        text = fh.read()
+    try:
+        return parse_scenario(text)
+    except ScenarioError as exc:
+        if exc.line is not None:
+            raise
+        raise ScenarioError(f"{path}: {exc}") from None

@@ -55,6 +55,24 @@ BAD_SECTION_VALUES = [
     ("horizon = 10\n[load]\nmagnitude = 0.01\nkind = bogus\n", 2),
 ]
 
+# Bad values that only Scenario as a whole can judge, each with the line the
+# scenario error must name: the bad top-level key's (the first such key the
+# file sets, for a ratio), or the section's of a load or attack on a missing
+# area.
+BAD_SCENARIO_VALUES = [
+    ("format_version = 1\nseed = -1\n", 2),
+    ("# comment\n\nhorizon = nan\n", 3),
+    ("horizon = 10\ncommand_limit = 0\n", 2),
+    ("horizon = 10\nplant_step = -0.01\n", 2),
+    ("horizon = 10\nplant_step = 0.03\n", 2),
+    ("plant_step = 0.01\ncontrol_period = 0.015\n", 2),
+    ("horizon = 1.05\ncontrol_period = 0.1\n", 1),
+    ("horizon = 10\n[load]\nmagnitude = 0.01\n[load]\narea = 3\n"
+     "magnitude = 0.01\n", 4),
+    (f"{ATTACK}kind = step\nmagnitude = 0.01\n[attack]\nkind = step\n"
+     "channel = frequency_sensor\narea = 5\nmagnitude = 0.01\n", 7),
+]
+
 
 @pytest.fixture
 def minimal_scenario(tmp_path):
@@ -129,6 +147,23 @@ class TestScenarioValidation:
         if line is not None:
             assert err.startswith(f"scenario error: line {line}:")
 
+    @pytest.mark.parametrize("text,line", BAD_SCENARIO_VALUES)
+    def test_scenario_level_error_names_line(self, tmp_path, capsys, text,
+                                             line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["simulate", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(
+            f"scenario error: line {line}:")
+
+    def test_unconnected_grid_names_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("[area 1]\n[area 2]\n[area 3]\n[tie 1 2]\n"
+                        "coefficient = 0.1\n")
+        assert main(["simulate", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"scenario error: {path}: tie-line graph must be connected\n")
+
     def test_zero_r_weight_accepted(self, tmp_path, capsys):
         path = tmp_path / "sc.txt"
         path.write_text(MINIMAL.replace("zero", "lqr") + "r_weight = 0\n")
@@ -158,10 +193,12 @@ class TestTrainCli:
     TRAIN_A_SHA256 = ("4e97e138e4fbc73bc0ecd71d6243bdbe2553ea2f"
                       "e2751d362b21e4d21ddc1910")
     # The same run with the HyperParams defaults the package had before
-    # they became the gate's, passed explicitly.  It was recorded before
-    # run_episode moved to the lifted period map; dqn.train still integrates
-    # with rk4_step, and the acceptance gate's DQN criteria depend on its
-    # exact bits, so this guards the training arithmetic and must not move.
+    # they became the gate's, passed explicitly.  It was recorded when
+    # dqn.train called rk4_step once per plant step; training now steps a
+    # control period per LfcModel.step_period call, through the same rate
+    # kernel and with the same bits.  The acceptance gate's DQN criteria
+    # depend on those exact bits (not those of run_episode's lifted period
+    # map), so this guards the training arithmetic and must not move.
     OLD_DEFAULTS = dict(learning_rate=1e-3, levels=7, span=0.1,
                         reward_scale=1.0, obs_scale=1.0)
     OLD_DEFAULTS_SHA256 = ("da13345f9ed7b962f6ae3f7cb109dffeb3c0a35d"

@@ -355,6 +355,62 @@ class TestPeriodMap:
             two_area_benchmark().load_response(0.0, np.zeros((10, 2)))
 
 
+class TestStepPeriod:
+    """step_period against rk4_step, whose bits training must keep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=connected_grids(), h=_span(0.001, 0.02),
+           steps=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_successive_rk4_steps(self, model, h, steps, seed):
+        rng = np.random.default_rng(seed)
+        n = model.n_areas
+        x = rng.normal(0, 0.05, model.dim)
+        u = rng.normal(0, 0.4, n)   # some entries beyond the saturation limit
+        loads = rng.normal(0, 0.02, (steps, n))
+        held = np.clip(u, -model.p_c_max, model.p_c_max)
+        ref = x
+        for load in loads:
+            ref = model.rk4_step(ref, model.inputs(u, load), h)
+        assert np.array_equal(model.step_period(x, held, loads, h), ref)
+
+    def test_non_finite_start_state(self):
+        m = two_area_benchmark()
+        bad = m.zero_state()
+        bad[3] = np.nan
+        with pytest.raises(NumericError, match="^non-finite state entry$"):
+            m.step_period(bad, np.zeros(2), np.zeros((10, 2)), 0.01)
+
+    def test_overflow_mid_period(self):
+        # RK4 is unstable at h = 10 s: the state grows by orders of
+        # magnitude per step and overflows within the period.
+        m = two_area_benchmark()
+        x = np.full(m.dim, 1e280)
+        assert np.all(np.isfinite(m.step_period(x, np.zeros(2),
+                                                np.zeros((1, 2)), 10.0)))
+        with pytest.raises(NumericError, match="non-finite state after RK4"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            m.step_period(x, np.zeros(2), np.zeros((10, 2)), 10.0)
+
+    @pytest.mark.parametrize("p_c,loads", [
+        (np.zeros(3), np.zeros((10, 2))),
+        (np.zeros((1, 2)), np.zeros((10, 2))),
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros(2), np.zeros((10, 3))),
+        (np.zeros(2), np.zeros((2, 10, 2))),
+    ])
+    def test_wrong_shapes(self, p_c, loads):
+        m = two_area_benchmark()
+        with pytest.raises(StructuralError):
+            m.step_period(m.zero_state(), p_c, loads, 0.01)
+
+    def test_bad_state_shape_and_step_size(self):
+        m = two_area_benchmark()
+        with pytest.raises(StructuralError):
+            m.step_period(np.zeros(5), np.zeros(2), np.zeros((10, 2)), 0.01)
+        with pytest.raises(StructuralError):
+            m.step_period(m.zero_state(), np.zeros(2), np.zeros((10, 2)), 0.0)
+
+
 class TestClosedFormSteadyState:
     """Zero control and step loads on a random connected grid: every final
     df_i equals -sum(dP_L) / sum(D_i + 1/R_i).
@@ -368,6 +424,9 @@ class TestClosedFormSteadyState:
     most exp(-0.1 * 380) = 3e-17.  RK4's fixed point x = M x + N g is the
     ODE's A x + g = 0 exactly, so what is left is round-off; the bound is
     1e-12 of the load's frequency scale (worst of 400 draws: 8.4e-14).
+    Load magnitudes are never subnormal: a subnormal carries fewer than 53
+    significant bits, so no integrator can meet a relative bound on it, and
+    a physical load is never one.
     """
 
     SLOWEST_DECAY = 0.1   # 1/s
@@ -381,7 +440,9 @@ class TestClosedFormSteadyState:
         n = model.n_areas
         loads = data.draw(st.lists(
             st.builds(LoadEvent, st.integers(0, n - 1), st.just("step"),
-                      _span(-0.02, 0.02), _span(0.0, 20.0)),
+                      st.floats(-0.02, 0.02, allow_nan=False,
+                                allow_infinity=False, allow_subnormal=False),
+                      _span(0.0, 20.0)),
             min_size=1, max_size=4))
         sc = Scenario(areas=model.areas,
                       tie_coefficients=model.topo.coefficients, loads=loads,

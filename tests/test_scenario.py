@@ -67,6 +67,33 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="missing area 3"):
             parse_scenario(text)
 
+    def test_scenario_value_names_its_line(self):
+        with pytest.raises(ScenarioError, match="^line 3: seed must be >= 0"):
+            parse_scenario("horizon = 10\n# the seed\nseed = -1\n")
+
+    def test_ratio_names_the_key_the_file_sets(self):
+        # control_period is the default 0.1; plant_step makes it no multiple.
+        with pytest.raises(ScenarioError, match="^line 2: control_period"):
+            parse_scenario("horizon = 10\nplant_step = 0.03\n")
+
+    def test_load_on_missing_area_names_its_section(self):
+        text = "horizon = 10\n\n[load]\narea = 3\nmagnitude = 0.01\n"
+        with pytest.raises(ScenarioError,
+                           match="^line 3: load event targets missing area 3"):
+            parse_scenario(text)
+
+    def test_unconnected_grid_names_the_path(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("[area 1]\n[area 2]\n")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{path}: tie-line graph must be connected"
+        assert exc.value.line is None
+
+    def test_programmatic_error_has_no_line(self):
+        with pytest.raises(ScenarioError, match="^seed must be >= 0$"):
+            Scenario(seed=-1)
+
     def test_noncontiguous_areas(self):
         text = "[area 1]\n[area 3]\n"
         with pytest.raises(ScenarioError, match="contiguous"):
