@@ -184,7 +184,7 @@ def select_action(q_values, epsilon, rng=None):
 class ReplayMemory:
     """Ring buffer of transitions with a uniform (with-replacement) sampler."""
 
-    def __init__(self, capacity=100_000):
+    def __init__(self, capacity):
         if capacity < 1:
             raise StructuralError("capacity must be positive")
         self.capacity = capacity
@@ -293,7 +293,7 @@ class HyperParams:
         return self.eps_start + frac * (self.eps_end - self.eps_start)
 
 
-def observation(frame, scale=1.0):
+def observation(frame, scale):
     """Agent input: measured frequencies then measured net tie flows."""
     return scale * np.concatenate([frame.freq, frame.net_tie])
 
@@ -334,7 +334,7 @@ def _draw_episode_events(scenario, rng):
     return loads, attacks
 
 
-def train(scenario, hyper=None, episodes=500, seed=0):
+def train(scenario, hyper, episodes, seed):
     """Train a DQN against the scenario's grid with randomized episodes.
 
     Each episode draws a random step load and, with probability 1/2, a
@@ -347,8 +347,6 @@ def train(scenario, hyper=None, episodes=500, seed=0):
     rk4_step per plant step, which the acceptance gate's DQN criteria
     depend on (run_episode's lifted period map rounds differently).
     """
-    if hyper is None:
-        hyper = HyperParams()
     model = scenario.build_model()
     n = model.n_areas
     table = ActionTable(n, levels=hyper.levels, span=hyper.span)
@@ -432,7 +430,7 @@ def write_training_log(log, path):
 class DqnController:
     """Greedy policy over a trained network; stateless between calls."""
 
-    def __init__(self, net, table, obs_scale=1.0):
+    def __init__(self, net, table, obs_scale):
         if net.out_dim != table.size:
             raise StructuralError("network output and action table disagree")
         self.net = net
@@ -447,7 +445,7 @@ class DqnController:
         pass
 
 
-def save_checkpoint(net, table, path, obs_scale=1.0):
+def save_checkpoint(net, table, path, obs_scale):
     """Text checkpoint: layer shapes plus row-major weights in float hex."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")

@@ -173,12 +173,6 @@ class LfcModel:
     def freq(self, state):
         return state[..., : self.n_areas]
 
-    def mech(self, state):
-        return state[..., self.n_areas: 2 * self.n_areas]
-
-    def valve(self, state):
-        return state[..., 2 * self.n_areas: 3 * self.n_areas]
-
     def tie_states(self, state):
         return state[..., 3 * self.n_areas:]
 
@@ -207,7 +201,8 @@ class LfcModel:
         """Unchecked time derivative of state x under the held command p_c
         (already saturated) and load p_load, written into out.
 
-        derivatives() and step_period() both run it, so the oracle tests of
+        derivatives() and step_period() both run it, and rk4_step() is
+        step_period() over one load row, so the oracle tests of
         derivatives() and rk4_step() check the arithmetic training runs.
         """
         n = self.n_areas
@@ -243,25 +238,16 @@ class LfcModel:
                            np.empty(self.dim))
 
     def rk4_step(self, state, inputs, h):
-        """One classical RK4 step with inputs held constant (zero-order hold)."""
-        if h <= 0:
-            raise StructuralError("step size must be positive")
-        k1 = self.derivatives(state, inputs)
-        k2 = self.derivatives(state + 0.5 * h * k1, inputs)
-        k3 = self.derivatives(state + 0.5 * h * k2, inputs)
-        k4 = self.derivatives(state + h * k3, inputs)
-        out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite state after RK4 step of h={h}")
-        return out
+        """One classical RK4 step with inputs held constant (zero-order hold):
+        step_period over a single load row."""
+        return self.step_period(state, inputs.p_c, inputs.p_load[None], h)
 
     def step_period(self, state, p_c, loads, h):
         """State after one RK4 step of size h per row of loads, shape
         (steps, n), with the command p_c (already saturated) held.
 
-        Each step has the bits of rk4_step(state, inputs(p_c, load), h).
-        Shapes and the start state are checked once; every step's result
-        must be finite, else NumericError as from rk4_step.
+        rk4_step is its one-row case.  Shapes and the start state are
+        checked once; every step's result must be finite, else NumericError.
         """
         if h <= 0:
             raise StructuralError("step size must be positive")
@@ -385,9 +371,9 @@ class LfcModel:
                            p_c_max=self.p_c_max)
 
 
-def two_area_benchmark(p_c_max=DEFAULT_P_C_MAX):
+def two_area_benchmark():
     """Classic two-area benchmark with 2*pi*T_12 = 0.545 p.u./rad."""
     areas = [AreaParams(), AreaParams()]
     t12 = 0.545 / (2.0 * np.pi)
     coef = np.array([[0.0, t12], [t12, 0.0]])
-    return LfcModel(areas, TieTopology(2, coef), p_c_max=p_c_max)
+    return LfcModel(areas, TieTopology(2, coef))

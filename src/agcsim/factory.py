@@ -42,8 +42,9 @@ def build_controller(scenario, spec=None, model=None):
             model, **_given(spec, ("q_freq", "q_tie", "r_weight")))
         if ctype == "lqr":
             return controllers.LqrController(model, period, Q=Q, R=R)
-        return controllers.MpcController(model, period, Q=Q, R=R,
-                                         horizon=spec.get("horizon_steps", 20))
+        horizon = ({"horizon": spec["horizon_steps"]}
+                   if "horizon_steps" in spec else {})
+        return controllers.MpcController(model, period, Q=Q, R=R, **horizon)
     if ctype == "dqn":
         path = spec.get("checkpoint")
         if not path:

@@ -21,6 +21,8 @@ from .scenario import _is_multiple
 
 # States beyond this deviation are far outside linear-model validity.
 DIVERGENCE_LIMIT = 10.0
+# A frequency deviation has settled once it stays below this band, p.u.
+SETTLING_BAND = 1e-3
 
 
 def penalties(model, states):
@@ -234,7 +236,7 @@ class Metrics:
         }
 
 
-def compute_metrics(traj, model, band=1e-3):
+def compute_metrics(traj, model):
     """Metrics over one trajectory; settling must be sustained to horizon."""
     if len(traj) == 0:
         raise StructuralError("empty trajectory")
@@ -244,7 +246,7 @@ def compute_metrics(traj, model, band=1e-3):
 
     settling = np.full(n, np.nan)
     settled = np.zeros(n, dtype=bool)
-    inside = np.abs(df) < band
+    inside = np.abs(df) < SETTLING_BAND
     for i in range(n):
         col = inside[:, i]
         if col[-1]:
@@ -424,7 +426,7 @@ COMPARE_FIELDS = ("max_freq_dev", "settling_time", "ise",
                   "steady_state_freq_dev")
 
 
-def compare(scenario, controllers, band=1e-3):
+def compare(scenario, controllers):
     """Run each (name, controller) on the identical scenario.
 
     Returns a list of row dicts; a failing controller yields a row with an
@@ -436,7 +438,7 @@ def compare(scenario, controllers, band=1e-3):
         row = {"controller": name}
         try:
             traj = run_episode(scenario, ctrl, model=model)
-            row.update(compute_metrics(traj, model, band=band).row())
+            row.update(compute_metrics(traj, model).row())
         except Exception as exc:  # per-row failure reporting
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

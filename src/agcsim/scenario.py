@@ -351,7 +351,7 @@ def parse_scenario(text):
     if "controller" in kwargs:
         kwargs["controller"] = {"type": kwargs["controller"]}
 
-    areas, ties, loads, attacks = {}, {}, [], []
+    areas, area_lines, ties, loads, attacks = {}, {}, {}, [], []
     # The line of each value Scenario._validate may name in an error.
     lines = {key: line for key, _, line in top["pairs"]}
     for sec in sections:
@@ -361,6 +361,7 @@ def parse_scenario(text):
             if i in areas:
                 raise ScenarioError(f"area {i + 1} defined twice", line)
             areas[i] = _checked(line, AreaParams, **_values(sec, _AREA_KEYS))
+            area_lines[i] = line
         elif name == "tie":
             i, j = sorted(_header_areas(sec, 2))
             if i == j:
@@ -369,7 +370,7 @@ def parse_scenario(text):
                 raise ScenarioError(f"tie {i + 1}-{j + 1} defined twice", line)
             coef = _values(sec, _TIE_KEYS, ("coefficient",))["coefficient"]
             _checked(line, TieTopology.check_coefficients, coef)
-            ties[i, j] = coef
+            ties[i, j] = coef, line
         elif name == "load":
             v = _values(sec, _LOAD_KEYS, ("magnitude",))
             lines[f"loads[{len(loads)}]"] = line
@@ -398,19 +399,25 @@ def parse_scenario(text):
 
     if areas:
         n = max(areas) + 1
-        missing = [str(i + 1) for i in range(n) if i not in areas]
+        missing = [i for i in range(n) if i not in areas]
         if missing:
-            raise ScenarioError("area indices must be contiguous from 1; "
-                                "missing " + ", ".join(missing))
+            # At the [area] section of the lowest index past the first gap.
+            above = min(i for i in areas if i > missing[0])
+            raise ScenarioError(
+                "area indices must be contiguous from 1; missing "
+                + ", ".join(str(i + 1) for i in missing), area_lines[above])
         coef = np.zeros((n, n))
-        for (i, j), c in ties.items():
+        for (i, j), (c, line) in ties.items():
             if j >= n:
-                raise ScenarioError(f"tie references missing area {j + 1}")
+                raise ScenarioError(f"tie references missing area {j + 1}",
+                                    line)
             coef[i, j] = coef[j, i] = c
         kwargs["areas"] = [areas[i] for i in range(n)]
         kwargs["tie_coefficients"] = coef
     elif ties:
-        raise ScenarioError("[tie] sections require explicit [area] sections")
+        _, line = next(iter(ties.values()))
+        raise ScenarioError("[tie] sections require explicit [area] sections",
+                            line)
     try:
         return Scenario(loads=loads, attacks=attacks, **kwargs)
     except ScenarioError as exc:

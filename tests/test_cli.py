@@ -9,10 +9,11 @@ import pytest
 
 from agcsim import dqn
 from agcsim.cli import main, EXIT_CONVERGENCE, EXIT_INSTABILITY, EXIT_PARSE
-from agcsim.controllers import solve_dare, zoh_discretize
+from agcsim.controllers import (default_weights, mpc_gain, solve_dare,
+                                zoh_discretize)
 from agcsim.factory import build_controller
 from agcsim.harness import compare
-from agcsim.scenario import Scenario, load_scenario
+from agcsim.scenario import Scenario, load_scenario, parse_scenario
 from agcsim.errors import ScenarioError
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -53,6 +54,14 @@ BAD_SECTION_VALUES = [
     (f"{ATTACK}kind = step\nmagnitude = 0.01\nstart = nan\n", 2),
     (f"{ATTACK}kind = pulse\nmagnitude = 0.01\nduration = nan\n", 2),
     ("horizon = 10\n[load]\nmagnitude = 0.01\nkind = bogus\n", 2),
+    # A tie to a missing area, at its [tie] line; ties without [area]
+    # sections, at the first [tie] line; a gap in the area indices, at the
+    # [area] section past the gap.
+    ("[area 1]\n[area 2]\n[tie 1 2]\ncoefficient = 0.1\n[tie 1 3]\n"
+     "coefficient = 0.1\n", 5),
+    ("horizon = 10\n[tie 1 2]\ncoefficient = 0.1\n[tie 1 3]\n"
+     "coefficient = 0.1\n", 2),
+    ("[area 1]\n[area 3]\n[tie 1 3]\ncoefficient = 0.1\n", 2),
 ]
 
 # Bad values that only Scenario as a whole can judge, each with the line the
@@ -411,6 +420,18 @@ class TestFactory:
         for spec in ("zero", "pid", "lqr", "mpc"):
             ctrl = build_controller(sc, spec=spec)
             assert hasattr(ctrl, "observe")
+
+    @pytest.mark.parametrize("extra,horizon", [("", 20),
+                                                ("horizon_steps = 5\n", 5)])
+    def test_mpc_horizon_steps(self, extra, horizon):
+        sc = parse_scenario("[controller]\ntype = mpc\n" + extra)
+        m = sc.build_model()
+        mpc = build_controller(sc, model=m)
+        Q, R = default_weights(m)
+        Ad, Bd = zoh_discretize(*m.assemble_linear_model(), sc.control_period)
+        P, _ = solve_dare(Ad, Bd, Q, R)
+        assert mpc.horizon == horizon
+        assert np.array_equal(mpc.K, mpc_gain(Ad, Bd, Q, R, P, horizon))
 
     def test_dqn_without_checkpoint(self):
         sc = Scenario(horizon=2.0, controller={"type": "dqn"})

@@ -407,7 +407,7 @@ class TestCheckpoint:
         net = small_net(20, sizes=(4, 8, 9))
         table = ActionTable(2, levels=3, span=0.1)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(net, table, path)
+        save_checkpoint(net, table, path, 1.0)
         net2, table2, scale2 = load_checkpoint(path)
         for w1, w2 in zip(net.weights, net2.weights):
             assert np.array_equal(w1, w2)
@@ -419,8 +419,8 @@ class TestCheckpoint:
         net = small_net(21, sizes=(4, 8, 9))
         table = ActionTable(2, levels=3, span=0.1)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(net, table, p1)
-        save_checkpoint(net, table, p2)
+        save_checkpoint(net, table, p1, 1.0)
+        save_checkpoint(net, table, p2, 1.0)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -435,7 +435,7 @@ class TestDqnController:
         table = ActionTable(2, levels=3, span=0.1)
         net = QNetwork([4, 9])
         net.biases[0][4] = 1.0  # make action 4 the argmax
-        ctrl = DqnController(net, table)
+        ctrl = DqnController(net, table, 1.0)
         from agcsim.attacks import MeasurementFrame
         f = MeasurementFrame(np.zeros(2), np.zeros(2), 0.0)
         assert np.array_equal(ctrl.observe(f), table.commands(4))
@@ -443,4 +443,4 @@ class TestDqnController:
     def test_observation_layout(self):
         from agcsim.attacks import MeasurementFrame
         f = MeasurementFrame(np.array([0.1, 0.2]), np.array([0.3, -0.3]), 0.0)
-        assert np.array_equal(observation(f), [0.1, 0.2, 0.3, -0.3])
+        assert np.array_equal(observation(f, 1.0), [0.1, 0.2, 0.3, -0.3])

@@ -356,7 +356,8 @@ class TestPeriodMap:
 
 
 class TestStepPeriod:
-    """step_period against rk4_step, whose bits training must keep."""
+    """step_period over several load rows at once equals it over one row
+    at a time (rk4_step), bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(model=connected_grids(), h=_span(0.001, 0.02),

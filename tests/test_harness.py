@@ -327,7 +327,7 @@ class TestComputeMetrics:
         traj = Trajectory(t, states, states[:, :2], np.zeros((n, 2)),
                           np.zeros((n, 2)), np.zeros((n, 2)),
                           np.zeros(6), 0.01, 1.0)
-        met = compute_metrics(traj, m, band=1e-3)
+        met = compute_metrics(traj, m)
         assert met.settling_time[0] == pytest.approx(np.log(10), abs=0.011)
         assert met.settled[0]
 
@@ -340,7 +340,7 @@ class TestComputeMetrics:
         traj = Trajectory(t, states, states[:, :2], np.zeros((n, 2)),
                           np.zeros((n, 2)), np.zeros((n, 2)),
                           np.zeros(2), 0.01, 1.0)
-        met = compute_metrics(traj, m, band=1e-3)
+        met = compute_metrics(traj, m)
         assert not met.settled[0]
         assert np.isnan(met.settling_time[0])
 
