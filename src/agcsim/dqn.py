@@ -149,8 +149,10 @@ class ActionTable:
     """
 
     def __init__(self, n_areas, levels, span):
-        if n_areas < 1 or levels < 2 or span <= 0:
+        if n_areas < 1 or levels < 2:
             raise StructuralError("bad action table configuration")
+        if not 0 < span < np.inf:
+            raise StructuralError("action span must be finite and > 0")
         self.n_areas = n_areas
         self.levels = levels
         self.span = span
@@ -487,6 +489,8 @@ def _parse_checkpoint(lines):
     n_areas, levels = int(fields[0][1]), int(fields[1][1])
     span, obs_scale = float.fromhex(fields[2][1]), float.fromhex(fields[3][1])
     sizes = [int(s) for s in fields[4][1:]]
+    if not 0 < obs_scale < np.inf:
+        raise StructuralError("obs_scale must be finite and > 0")
     row = 1 + len(_HEADER_KEYS)
     if len(lines) != row + 2 * (len(sizes) - 1):
         raise StructuralError(
@@ -499,6 +503,9 @@ def _parse_checkpoint(lines):
         if fan_out < 1 or len(w) != fan_in * fan_out or len(b) != fan_out:
             raise StructuralError(f"layer {fan_in}x{fan_out} has "
                                   f"{len(w)} weights and {len(b)} biases")
+        if not np.isfinite(w + b).all():
+            raise StructuralError(f"layer {fan_in}x{fan_out} has a "
+                                  "non-finite weight or bias")
         weights.append(np.array(w).reshape(fan_in, fan_out))
         biases.append(np.array(b))
         row += 2

@@ -199,26 +199,50 @@ class LfcModel:
 
     def _rates(self, x, p_c, p_load, out):
         """Unchecked time derivative of state x under the held command p_c
-        (already saturated) and load p_load, written into out.
+        (already saturated) and load p_load, written into out.  Leading
+        axes stack independent states.
 
-        derivatives() and step_period() both run it, and rk4_step() is
-        step_period() over one load row, so the oracle tests of
-        derivatives() and rk4_step() check the arithmetic training runs.
+        The plant's equations are written here alone: derivatives() and
+        step_period() run it, and the linear model and the RK4 step map are
+        read off it (_columns), so the oracle tests of each check the
+        arithmetic training runs.
         """
         n = self.n_areas
-        df, pm, pv = x[:n], x[n:2 * n], x[2 * n:3 * n]
-        ddf, dpm, dpv = out[:n], out[n:2 * n], out[2 * n:3 * n]
+        df, pm, pv = x[..., :n], x[..., n:2 * n], x[..., 2 * n:3 * n]
+        ddf, dpm, dpv = (out[..., :n], out[..., n:2 * n],
+                         out[..., 2 * n:3 * n])
         np.subtract(pm, p_load, out=ddf)
         ddf -= self._d * df
-        ddf -= x[3 * n:] @ self._incidence.T
+        ddf -= x[..., 3 * n:] @ self._incidence.T
         ddf /= self._m
         np.subtract(pv, pm, out=dpm)
         dpm /= self._tt
         np.subtract(p_c, df / self._r, out=dpv)
         dpv -= pv
         dpv /= self._tg
-        np.multiply(self._tie_gain, df @ self._incidence, out=out[3 * n:])
+        np.multiply(self._tie_gain, df @ self._incidence,
+                    out=out[..., 3 * n:])
         return out
+
+    def _rk4(self, x, p_c, p_load, h, k):
+        """Unchecked classical RK4 step of size h from x with p_c and p_load
+        held; k holds four arrays shaped like x for the four stages."""
+        half = 0.5 * h
+        k1, k2, k3, k4 = k
+        self._rates(x, p_c, p_load, k1)
+        self._rates(x + half * k1, p_c, p_load, k2)
+        self._rates(x + half * k2, p_c, p_load, k3)
+        self._rates(x + h * k3, p_c, p_load, k4)
+        return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def _columns(self, respond):
+        """The matrices of a map linear in (x, p_c, p_load), read off one
+        call respond(x, p_c, p_load) on all dim + 2n unit inputs stacked:
+        its columns for the state, the command and the load."""
+        dim, n = self.dim, self.n_areas
+        unit = np.eye(dim + 2 * n)
+        rows = respond(unit[:, :dim], unit[:, dim:dim + n], unit[:, dim + n:])
+        return rows[:dim].T, rows[dim:dim + n].T, rows[dim + n:].T
 
     def _checked_state(self, state):
         state = np.asarray(state, dtype=float)
@@ -260,66 +284,36 @@ class LfcModel:
                 f"command must have shape ({n},) and loads (steps, {n})")
         if not np.isfinite(x).all():
             raise NumericError("non-finite state entry")
-        half, sixth = 0.5 * h, h / 6.0
-        k1, k2, k3, k4 = np.empty((4, self.dim))
+        k = tuple(np.empty((4, self.dim)))
         for p_load in loads:
-            self._rates(x, p_c, p_load, k1)
-            self._rates(x + half * k1, p_c, p_load, k2)
-            self._rates(x + half * k2, p_c, p_load, k3)
-            self._rates(x + h * k3, p_c, p_load, k4)
-            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = self._rk4(x, p_c, p_load, h, k)
             if not np.isfinite(x).all():
                 raise NumericError(f"non-finite state after RK4 step of h={h}")
         return x
 
-    def assemble_linear_model(self):
-        """Explicit (A, B) with d(state)/dt = A@state + B@p_c - load_gain@p_load.
+    def _rate_columns(self):
+        """(A, B, -L) of the rate kernel; see assemble_linear_model."""
+        return self._columns(lambda x, p_c, p_load: self._rates(
+            x, p_c, p_load, np.empty(x.shape)))
 
-        Assembled entry by entry from the block structure, independently of
-        derivatives(); B covers the command inputs only.
-        """
-        n = self.n_areas
-        dim = self.dim
-        A = np.zeros((dim, dim))
-        B = np.zeros((dim, n))
-        for i, area in enumerate(self.areas):
-            fi, mi, vi = i, n + i, 2 * n + i
-            A[fi, fi] = -area.damping / area.inertia
-            A[fi, mi] = 1.0 / area.inertia
-            A[mi, mi] = -1.0 / area.turbine_tc
-            A[mi, vi] = 1.0 / area.turbine_tc
-            A[vi, fi] = -1.0 / (area.droop * area.governor_tc)
-            A[vi, vi] = -1.0 / area.governor_tc
-            B[vi, i] = 1.0 / area.governor_tc
-        for k, (i, j) in enumerate(self.pairs):
-            t_ij = self.topo.coefficients[i, j]
-            if t_ij == 0:
-                continue
-            tk = 3 * n + k
-            A[tk, i] = 2.0 * np.pi * t_ij
-            A[tk, j] = -2.0 * np.pi * t_ij
-            A[i, tk] = -1.0 / self.areas[i].inertia
-            A[j, tk] = +1.0 / self.areas[j].inertia
+    def assemble_linear_model(self):
+        """Explicit (A, B) with d(state)/dt = A@state + B@p_c - L@p_load,
+        L = load_gain(), read off the rate kernel; B covers the command
+        inputs only."""
+        A, B, _ = self._rate_columns()
         return A, B
 
     def load_gain(self):
         """Matrix L with load contribution to the derivative = -L @ p_load."""
-        L = np.zeros((self.dim, self.n_areas))
-        for i, area in enumerate(self.areas):
-            L[i, i] = 1.0 / area.inertia
-        return L
+        return -self._rate_columns()[2]
 
     def _rk4_map(self, h):
-        """(M, N) of one RK4 step, x+ = M x + N g, for an input g = B p_c -
-        L p_load held over the step: the plant is linear, so
-        M = sum_{j<=4} (hA)^j / j! and N = h sum_{j<=3} (hA)^j / (j+1)!."""
+        """(M, N B, -N L) of one RK4 step of size h with the inputs held,
+        x+ = M x + N B p_c - N L p_load, read off the step itself."""
         if h <= 0:
             raise StructuralError("step size must be positive")
-        A, _ = self.assemble_linear_model()
-        eye = np.eye(self.dim)
-        hA = h * A
-        N = h * (eye + hA / 2.0 @ (eye + hA / 3.0 @ (eye + hA / 4.0)))
-        return eye + A @ N, N
+        return self._columns(lambda x, p_c, p_load: self._rk4(
+            x, p_c, p_load, h, np.empty((4,) + x.shape)))
 
     def period_map(self, h, steps):
         """Exact map of `steps` RK4 steps of size h (one control period)
@@ -332,12 +326,11 @@ class LfcModel:
         map [[M, N B], [0, I]] of [state, command].  load_response() gives
         what the loads add.
         """
-        M, N = self._rk4_map(h)
-        _, B = self.assemble_linear_model()
+        M, NB, _ = self._rk4_map(h)
         dim, n = self.dim, self.n_areas
         step = np.eye(dim + n)
         step[:dim, :dim] = M
-        step[:dim, dim:] = N @ B
+        step[:dim, dim:] = NB
         G = np.empty((steps, dim, dim + n))
         power = np.eye(dim + n)
         for j in range(steps):
@@ -354,8 +347,7 @@ class LfcModel:
         leading index (a control period, say) starts from zero, and all of
         them advance together through one `steps`-long recursion.
         """
-        M, N = self._rk4_map(h)
-        drive = -N @ self.load_gain()
+        M, _, drive = self._rk4_map(h)
         loads = np.asarray(loads, dtype=float)
         out = np.empty(loads.shape[:-1] + (self.dim,))
         z = np.zeros(loads.shape[:-2] + (self.dim,))

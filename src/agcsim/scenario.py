@@ -388,6 +388,9 @@ def parse_scenario(text):
         elif name == "controller":
             controller = _values(sec, _CONTROLLER_VALUES, ("type",))
             ctype = controller["type"]
+            if ctype == "dqn" and "checkpoint" not in controller:
+                raise ScenarioError("[controller] of type 'dqn' requires "
+                                    "'checkpoint'", line)
             for key, _, lineno in sec["pairs"]:
                 if key != "type" and key not in _CONTROLLER_KEYS[ctype]:
                     raise ScenarioError(

@@ -27,6 +27,7 @@ from agcsim.harness import (compute_metrics, control_reward, run_episode,
                             write_comparison_csv)
 from agcsim.scenario import load_scenario
 from tests.test_dqn import Transition, batch_of, td_target
+from tests.test_dynamics import entrywise_linear_model
 from tests.test_scenario import SCENARIO_DIR
 
 # Training setup used for the resilience checks; chosen by a calibration
@@ -89,8 +90,7 @@ def test_default_hyper_is_the_gated_configuration():
 def test_c1_integrator_matches_matrix_exponential_oracle():
     t0 = time.perf_counter()
     model = two_area_benchmark()
-    A, _ = model.assemble_linear_model()
-    E = model.load_gain()
+    A, _, E = entrywise_linear_model(model)
     p_load = np.array([0.01, 0.0])
     drive = -E @ p_load
     dim = A.shape[0]

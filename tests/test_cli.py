@@ -62,6 +62,7 @@ BAD_SECTION_VALUES = [
     ("horizon = 10\n[tie 1 2]\ncoefficient = 0.1\n[tie 1 3]\n"
      "coefficient = 0.1\n", 2),
     ("[area 1]\n[area 3]\n[tie 1 3]\ncoefficient = 0.1\n", 2),
+    ("[controller]\ntype = dqn\n", 1),
 ]
 
 # Bad values that only Scenario as a whole can judge, each with the line the
@@ -306,10 +307,19 @@ class TestEvaluateAndCompare:
                      "--checkpoint", str(ckpt)]) == 0
         lines = ckpt.read_text().splitlines(keepends=True)
         # A valid checkpoint cut after each of its lines, then one with a
-        # bad hex value in its first weight row.
+        # bad hex value in its first weight row, a span or obs_scale that is
+        # not finite and > 0, and a non-finite weight and bias.
         bad = [lines[:keep] for keep in range(len(lines))]
         _, rest = lines[6].split(" ", 1)
         bad.append(lines[:6] + ["0xzz " + rest] + lines[7:])
+        for row, key in ((3, "span"), (4, "obs_scale")):
+            assert lines[row].startswith(key + " ")
+            for value in ("nan", "inf", "-0x1p+0", "0x0p+0"):
+                bad.append(lines[:row] + [f"{key} {value}\n"]
+                           + lines[row + 1:])
+        for row, value in ((6, "nan"), (7, "-inf")):
+            _, rest = lines[row].split(" ", 1)
+            bad.append(lines[:row] + [f"{value} {rest}"] + lines[row + 1:])
         broken = tmp_path / "broken.ckpt"
         capsys.readouterr()
         for content in bad:

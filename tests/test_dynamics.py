@@ -18,6 +18,74 @@ def single_area_model(**kwargs):
     return LfcModel([AreaParams(**kwargs)], TieTopology(1))
 
 
+def entrywise_linear_model(model):
+    """Oracle (A, B, L) with d(state)/dt = A@state + B@p_c - L@p_load,
+    assembled entry by entry from the equations in LfcModel's docstring,
+    independently of the plant's rate kernel."""
+    n = model.n_areas
+    dim = model.dim
+    A = np.zeros((dim, dim))
+    B = np.zeros((dim, n))
+    L = np.zeros((dim, n))
+    for i, area in enumerate(model.areas):
+        fi, mi, vi = i, n + i, 2 * n + i
+        A[fi, fi] = -area.damping / area.inertia
+        A[fi, mi] = 1.0 / area.inertia
+        A[mi, mi] = -1.0 / area.turbine_tc
+        A[mi, vi] = 1.0 / area.turbine_tc
+        A[vi, fi] = -1.0 / (area.droop * area.governor_tc)
+        A[vi, vi] = -1.0 / area.governor_tc
+        B[vi, i] = 1.0 / area.governor_tc
+        L[fi, i] = 1.0 / area.inertia
+    for k, (i, j) in enumerate(model.pairs):
+        t_ij = model.topo.coefficients[i, j]
+        if t_ij == 0:
+            continue
+        tk = 3 * n + k
+        A[tk, i] = 2.0 * np.pi * t_ij
+        A[tk, j] = -2.0 * np.pi * t_ij
+        A[i, tk] = -1.0 / model.areas[i].inertia
+        A[j, tk] = +1.0 / model.areas[j].inertia
+    return A, B, L
+
+
+def taylor_rk4_map(A, h):
+    """Oracle (M, N) of one RK4 step of x' = A x + g with g held,
+    x+ = M x + N g: RK4 on a linear system is the degree-4 Taylor polynomial
+    of exp(hA), so M = sum_{j<=4} (hA)^j / j! and
+    N = h sum_{j<=3} (hA)^j / (j+1)!."""
+    eye = np.eye(len(A))
+    hA = h * A
+    N = h * (eye + hA / 2.0 @ (eye + hA / 3.0 @ (eye + hA / 4.0)))
+    return eye + A @ N, N
+
+
+def _span(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def connected_grids(draw):
+    """A random connected N-area grid, N <= 6, with plausible constants."""
+    n = draw(st.integers(1, 6))
+    areas = [AreaParams(inertia=draw(_span(0.1, 0.25)),
+                        damping=draw(_span(0.0, 0.02)),
+                        droop=draw(_span(1.5, 3.5)),
+                        governor_tc=draw(_span(0.05, 0.15)),
+                        turbine_tc=draw(_span(0.2, 0.5)),
+                        freq_bias=draw(_span(0.3, 0.6)))
+             for _ in range(n)]
+    coef = np.zeros((n, n))
+    for i in range(1, n):  # a spanning tree keeps the graph connected
+        j = draw(st.integers(0, i - 1))
+        coef[i, j] = coef[j, i] = draw(_span(0.02, 0.12))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=5)):
+        if i != j:
+            coef[i, j] = coef[j, i] = draw(_span(0.02, 0.12))
+    return LfcModel(areas, TieTopology(n, coef))
+
+
 class TestAreaParams:
     def test_defaults_valid(self):
         AreaParams()
@@ -141,7 +209,7 @@ class TestRk4:
 
     def test_matrix_exponential_oracle(self):
         m = two_area_benchmark()
-        A, B = m.assemble_linear_model()
+        A, B, _ = entrywise_linear_model(m)
         u = np.array([0.05, -0.02])
         rng = np.random.default_rng(3)
         x0 = rng.normal(0, 0.02, m.dim)
@@ -162,7 +230,7 @@ class TestRk4:
 
     def test_order_of_convergence(self):
         m = two_area_benchmark()
-        A, B = m.assemble_linear_model()
+        A, B, _ = entrywise_linear_model(m)
         u = np.array([0.03, 0.01])
         x0 = np.full(m.dim, 0.01)
         inputs = m.inputs(u, [0.0, 0.0])
@@ -194,8 +262,7 @@ class TestRk4:
 class TestLinearModel:
     def test_matches_derivatives(self):
         m = two_area_benchmark()
-        A, B = m.assemble_linear_model()
-        L = m.load_gain()
+        A, B, L = entrywise_linear_model(m)
         rng = np.random.default_rng(11)
         for _ in range(100):
             s = rng.normal(0, 0.05, m.dim)
@@ -204,6 +271,16 @@ class TestLinearModel:
             lhs = m.derivatives(s, PlantInputs(u, load))
             rhs = A @ s + B @ u - L @ load
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=connected_grids())
+    def test_equals_entrywise_oracle(self, model):
+        # assemble_linear_model and load_gain read the rate kernel; one
+        # entry of A may differ in rounding: (-1/R)/T_g against -1/(R T_g).
+        A, B = model.assemble_linear_model()
+        got = np.hstack([A, B, model.load_gain()])
+        want = np.hstack(entrywise_linear_model(model))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_single_area_structure(self):
         m = single_area_model(inertia=0.2, damping=0.04)
@@ -266,32 +343,6 @@ class TestPrimaryControlSteadyState:
             assert abs(df - expected) / abs(expected) < 0.005
 
 
-def _span(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def connected_grids(draw):
-    """A random connected N-area grid, N <= 6, with plausible constants."""
-    n = draw(st.integers(1, 6))
-    areas = [AreaParams(inertia=draw(_span(0.1, 0.25)),
-                        damping=draw(_span(0.0, 0.02)),
-                        droop=draw(_span(1.5, 3.5)),
-                        governor_tc=draw(_span(0.05, 0.15)),
-                        turbine_tc=draw(_span(0.2, 0.5)),
-                        freq_bias=draw(_span(0.3, 0.6)))
-             for _ in range(n)]
-    coef = np.zeros((n, n))
-    for i in range(1, n):  # a spanning tree keeps the graph connected
-        j = draw(st.integers(0, i - 1))
-        coef[i, j] = coef[j, i] = draw(_span(0.02, 0.12))
-    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                        st.integers(0, n - 1)), max_size=5)):
-        if i != j:
-            coef[i, j] = coef[j, i] = draw(_span(0.02, 0.12))
-    return LfcModel(areas, TieTopology(n, coef))
-
-
 class TestTieFlow:
     @settings(max_examples=60, deadline=None)
     @given(model=connected_grids(), seed=st.integers(0, 2 ** 32 - 1))
@@ -339,6 +390,17 @@ class TestPeriodMap:
            steps=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 1))
     def test_period_is_sequential_rk4(self, model, h, steps, seed):
         assert _period_error(model, h, steps, seed) <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=connected_grids(), h=_span(0.001, 0.02))
+    def test_step_map_is_taylor_polynomial(self, model, h):
+        # The RK4 step map read off one step of unit inputs against the
+        # degree-4 Taylor polynomial of exp(hA).
+        A, B, L = entrywise_linear_model(model)
+        M, N = taylor_rk4_map(A, h)
+        want = np.hstack([M, N @ B, -N @ L])
+        got = np.hstack(model._rk4_map(h))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_shape(self):
         m = two_area_benchmark()
